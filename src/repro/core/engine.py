@@ -46,7 +46,7 @@ ENGINES = ("reference", "fast")
 #: a fixed algorithmic constant, independent of the experiment seed: the
 #: insertion stream must be identical across engines and runs for the
 #: differential suite's field-for-field equality.  ``core/fastpath.py``
-#: pins the same value.
+#: imports this value.
 _INSERT_SEED = 0xC0FFEE
 
 

@@ -13,9 +13,12 @@ CPython spends its time on arithmetic instead of attribute lookups:
   cost, and per-chunk conversion keeps peak memory O(chunk) for
   streamed workloads);
 * per-``(serving node, leaf)`` latency, response-path link ids, and
-  insertable cache nodes are computed once through the reference
+  insertable cache nodes are computed once per run through the reference
   :class:`~repro.topology.network.Network` oracles and memoized — so
-  every float and every link ordering is bit-identical by construction;
+  every float and every link ordering is bit-identical by construction.
+  A memo miss is cheap: the oracles concatenate per-node chain tuples the
+  network fills on first use and keeps, and a per-run bitmap over global
+  node ids (cache-enabled and not failed) filters the insertable nodes;
 * cache state lives in the flat structs of :mod:`repro.cache.fast`
   (membership bitmaps + insertion-ordered dicts) instead of
   ``OrderedDict`` objects behind two layers of method calls;
@@ -40,7 +43,7 @@ from ..cache.fast import FastInfinite, make_fast_cache
 from ..topology.network import HopCosts, Network
 from ..workload.generator import Workload
 from ..workload.stream import StreamingWorkload
-from .engine import _stream_bounds
+from .engine import _INSERT_SEED, _stream_bounds
 from .metrics import SimulationResult
 from .routing import ReplicaDirectory
 
@@ -49,12 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .engine import Simulator
 
 __all__ = ["FastEngine", "fast_no_cache"]
-
-#: Pinned seed for the probabilistic-insertion coin flips — must stay
-#: identical to ``repro.core.engine._INSERT_SEED`` (duplicated rather
-#: than imported to keep the runtime import DAG acyclic); the
-#: differential suite pins the engines' streams to each other.
-_INSERT_SEED = 0xC0FFEE
 
 
 class FastEngine:
@@ -88,10 +85,15 @@ class FastEngine:
         self._sizes = workload.sizes.tolist()
         self._origins = workload.origins.tolist()
 
-        # Cache-enabled locals as an O(1) bitmap.
+        # Cache-enabled locals as an O(1) bitmap, and its tiling over
+        # global node ids with the failed nodes cleared: the nodes that
+        # may take a response-path copy in this run.
         self._is_cache = bytearray(ts)
         for local in sorted(sim._cache_local_set):
             self._is_cache[local] = 1
+        self._insertable = self._is_cache * network.num_pops
+        for node in sorted(sim._failed):
+            self._insertable[node] = 0
         self._depth = [network.tree.depth_of(local) for local in range(ts)]
 
         # Flat cache structs mirroring the reference caches' capacities
@@ -150,23 +152,20 @@ class FastEngine:
     ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
         """(latency, response links, insertable cache nodes) for one pair.
 
-        Computed through the reference Network oracles so the float
+        Computed through the reference Network oracles, which concatenate
+        the network's lazily filled per-node chain tables, so the float
         arithmetic and link ordering match the reference engine bit for
-        bit; insertables are pre-filtered to cache-enabled, non-failed
-        nodes in response-path order (the exact sequence the reference
-        insertion loop — and its probabilistic RNG — visits).
+        bit.  Insertables are the response path's nodes after the serving
+        one that are set in the run's ``_insertable`` bitmap (cache-enabled
+        and not failed), in response-path order: the exact sequence the
+        reference insertion loop, and its probabilistic RNG, visits.
         """
         network = self._network
-        ts = self._ts
-        is_cache = self._is_cache
-        failed = self._sim._failed
+        insertable = self._insertable
         cost = network.path_cost(serving, leaf_gid, self._costs)
         links = tuple(network.path_links(serving, leaf_gid))
-        inserts = tuple(
-            node
-            for node in network.path_nodes(serving, leaf_gid)[1:]
-            if is_cache[node % ts] and node not in failed
-        )
+        nodes = network.path_nodes(serving, leaf_gid)
+        inserts = tuple([node for node in nodes[1:] if insertable[node]])
         entry = (cost, links, inserts)
         self._path_entries[serving * network.num_nodes + leaf_gid] = entry
         return entry

@@ -13,7 +13,10 @@ arrays:
 
 All shortest paths are precomputed: core-network APSP by BFS (hop
 metric, as in the paper) and in-tree paths by k-ary index arithmetic, so
-the simulator never searches the graph per request.
+the simulator never searches the graph per request.  The node and link
+oracles concatenate global-id tuples kept on the network and filled on
+first use: each node's chain to its PoP root (and root-first), each
+chain's tree links, and the transit roots between each pair of PoPs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ class Network:
         self._chain = tuple(
             tuple(tree.path_to_root(local)) for local in range(tree.size)
         )
+        # Global-id path tables, filled on first use so that building a
+        # network stays cheap.  Per node: its chain up to the PoP root and
+        # that chain's tree links (see _fill_up), the chain root-first and
+        # its tree links (see _fill_down).  Per PoP pair, at index
+        # ``pop_a * num_pops + pop_b``: the transit PoP roots strictly
+        # between them (see _fill_transit).
+        n = self.num_nodes
+        self._up_nodes: list[tuple[int, ...] | None] = [None] * n
+        self._up_links: list[tuple[int, ...] | None] = [None] * n
+        self._down_nodes: list[tuple[int, ...] | None] = [None] * n
+        self._down_links: list[tuple[int, ...] | None] = [None] * n
+        self._transit: list[tuple[int, ...] | None] = [None] * self.num_pops**2
 
     # ------------------------------------------------------------------
     # Node id helpers
@@ -125,56 +140,49 @@ class Network:
     # ------------------------------------------------------------------
     def chain_to_root(self, node: int) -> list[int]:
         """Global node sequence from ``node`` up to its PoP root, inclusive."""
-        base = (node // self.tree_size) * self.tree_size
-        return [base + local for local in self._chain[node % self.tree_size]]
+        up = self._up_nodes[node]
+        if up is None:
+            up = self._fill_up(node)[0]
+        return list(up)
 
     def path_nodes(self, a: int, b: int) -> list[int]:
         """Global node sequence of the shortest path from ``a`` to ``b``."""
-        pop_a, pop_b = a // self.tree_size, b // self.tree_size
+        ts = self.tree_size
+        pop_a, pop_b = a // ts, b // ts
+        up = self._up_nodes[a]
+        if up is None:
+            up = self._fill_up(a)[0]
+        down = self._down_nodes[b]
+        if down is None:
+            down = self._fill_down(b)[0]
         if pop_a == pop_b:
-            base = pop_a * self.tree_size
-            return [
-                base + local
-                for local in self.tree.path(a % self.tree_size, b % self.tree_size)
-            ]
-        up = self.chain_to_root(a)
-        middle = [
-            pop * self.tree_size for pop in self._core_paths[pop_a][pop_b][1:-1]
-        ]
-        down = list(reversed(self.chain_to_root(b)))
-        return up + middle + down
+            # Climb to the lowest common ancestor, then descend from it.
+            lca_depth = len(self._chain[self.tree.lca(a % ts, b % ts)]) - 1
+            return [*up[: len(up) - lca_depth], *down[lca_depth + 1 :]]
+        transit = self._transit[pop_a * self.num_pops + pop_b]
+        if transit is None:
+            transit = self._fill_transit(pop_a, pop_b)
+        return [*up, *transit, *down]
 
     def path_links(self, a: int, b: int) -> list[int]:
-        """Link ids along the shortest path from ``a`` to ``b``.
+        """Link ids along the shortest path from ``a`` to ``b``, in path order.
 
-        Tree links are identified by their child endpoint's global id;
-        core links by ``num_nodes + edge_index``.
+        Entry ``i`` is the link between ``path_nodes(a, b)[i]`` and
+        ``[i + 1]``: a tree link is identified by its child endpoint's
+        global id, a core link by ``num_nodes + edge_index``.
         """
-        pop_a, pop_b = a // self.tree_size, b // self.tree_size
+        ts = self.tree_size
+        pop_a, pop_b = a // ts, b // ts
+        up = self._up_links[a]
+        if up is None:
+            up = self._fill_up(a)[1]
+        down = self._down_links[b]
+        if down is None:
+            down = self._fill_down(b)[1]
         if pop_a == pop_b:
-            base = pop_a * self.tree_size
-            local_a, local_b = a % self.tree_size, b % self.tree_size
-            lca = self.tree.lca(local_a, local_b)
-            links = []
-            node = local_a
-            while node != lca:
-                links.append(base + node)
-                node = (node - 1) // self.tree.arity
-            node = local_b
-            while node != lca:
-                links.append(base + node)
-                node = (node - 1) // self.tree.arity
-            return links
-        links = [
-            (pop_a * self.tree_size) + local
-            for local in self._chain[a % self.tree_size][:-1]
-        ]
-        links.extend(self._core_path_links[pop_a][pop_b])
-        links.extend(
-            (pop_b * self.tree_size) + local
-            for local in self._chain[b % self.tree_size][:-1]
-        )
-        return links
+            lca_depth = len(self._chain[self.tree.lca(a % ts, b % ts)]) - 1
+            return [*up[: len(up) - lca_depth], *down[lca_depth:]]
+        return [*up, *self._core_path_links[pop_a][pop_b], *down]
 
     def path_cost(self, a: int, b: int, costs: HopCosts) -> float:
         """Latency of the shortest ``a``–``b`` path under a hop-cost model."""
@@ -193,6 +201,32 @@ class Network:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _fill_up(self, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Fill and return ``node``'s chain to its PoP root and its links."""
+        base = node - node % self.tree_size
+        nodes = tuple(base + local for local in self._chain[node - base])
+        links = nodes[:-1]
+        self._up_nodes[node] = nodes
+        self._up_links[node] = links
+        return nodes, links
+
+    def _fill_down(self, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Fill and return ``node``'s chain root-first and its links."""
+        base = node - node % self.tree_size
+        nodes = tuple(base + local for local in reversed(self._chain[node - base]))
+        links = nodes[1:]
+        self._down_nodes[node] = nodes
+        self._down_links[node] = links
+        return nodes, links
+
+    def _fill_transit(self, pop_a: int, pop_b: int) -> tuple[int, ...]:
+        """Fill and return the transit PoP roots strictly between two PoPs."""
+        transit = tuple(
+            pop * self.tree_size for pop in self._core_paths[pop_a][pop_b][1:-1]
+        )
+        self._transit[pop_a * self.num_pops + pop_b] = transit
+        return transit
+
     def _all_pairs_bfs(self) -> tuple[list[list[int]], list[list[int]]]:
         n = self.num_pops
         dist = [[-1] * n for _ in range(n)]

@@ -49,6 +49,7 @@ ALL_ARCHITECTURES = (
     ICN_NR_INF,
 )
 POLICIES = ("lru", "lfu", "fifo")
+TWO_LEVELS_COOP = next(a for a in EDGE_VARIANTS if a.name == "2-Levels-Coop")
 
 
 def _both(network, arch, workload, budgets, **kwargs):
@@ -138,12 +139,19 @@ def test_failed_nodes(
 
 
 @pytest.mark.parametrize(
-    "arch", [ICN_SP, ICN_NR, ICN_NR_GLOBAL], ids=lambda a: a.name
+    "arch",
+    [ICN_SP, ICN_NR, ICN_NR_GLOBAL, EDGE_COOP, TWO_LEVELS_COOP],
+    ids=lambda a: a.name,
 )
 def test_capacity_model(
     small_network, random_workload, results_identical, arch
 ):
-    """Serving-capacity rejections fire at the same requests."""
+    """Serving-capacity rejections fire at the same requests.
+
+    The cooperative cases pin a rule of the sp walk: a hit refused by
+    capacity moves on up the chain and leaves that node's coop siblings
+    unprobed.
+    """
     workload = random_workload(
         small_network, 17, num_requests=600, num_objects=20
     )

@@ -1,7 +1,7 @@
 """Tests for the composite router-level network and its oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.topology import AccessTree, HopCosts, Network, Pop, PopTopology
@@ -110,6 +110,20 @@ class TestDistancesAndPaths:
 # ---------------------------------------------------------------------------
 
 
+def _chain_network(num_pops, extra_edges, arity, depth):
+    """PoPs in a line plus ``extra_edges``, with a k-ary tree per PoP."""
+    edges = {(i, i + 1) for i in range(num_pops - 1)}
+    for a, b in extra_edges:
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    topo = PopTopology(
+        name="h",
+        pops=tuple(Pop(i, f"p{i}", 100 + i) for i in range(num_pops)),
+        edges=tuple(sorted(edges)),
+    )
+    return Network(topo, AccessTree(arity=arity, depth=depth))
+
+
 @st.composite
 def network_and_nodes(draw):
     num_pops = draw(st.integers(min_value=2, max_value=5))
@@ -121,26 +135,47 @@ def network_and_nodes(draw):
             max_size=4,
         )
     )
-    edges = {(i, i + 1) for i in range(num_pops - 1)}
-    for a, b in extra:
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    topo = PopTopology(
-        name="h",
-        pops=tuple(Pop(i, f"p{i}", 100 + i) for i in range(num_pops)),
-        edges=tuple(sorted(edges)),
+    network = _chain_network(
+        num_pops, extra, draw(st.integers(2, 3)), draw(st.integers(1, 3))
     )
-    tree = AccessTree(
-        arity=draw(st.integers(2, 3)), depth=draw(st.integers(1, 3))
-    )
-    network = Network(topo, tree)
     a = draw(st.integers(0, network.num_nodes - 1))
     b = draw(st.integers(0, network.num_nodes - 1))
     return network, a, b
 
 
+#: Leaf of the last PoP to a leaf of the first on a 5-PoP line: three
+#: transit roots, so a transit-order bug cannot hide behind short paths.
+_LINE = _chain_network(5, [], 2, 2)
+_DEEP_TRANSIT = (_LINE, _LINE.num_nodes - 1, 3)
+
+
+def _hop_link(network, u, v):
+    """Link id of the hop between ``u`` and ``v``; fails if not adjacent."""
+    ts = network.tree_size
+    pop_u, pop_v = u // ts, v // ts
+    if pop_u == pop_v:
+        local_u, local_v = u % ts, v % ts
+        if local_v and network.tree.parent(local_v) == local_u:
+            return v  # descending tree hop: the child is v
+        assert local_u and network.tree.parent(local_u) == local_v
+        return u  # ascending tree hop: the child is u
+    assert u % ts == 0 and v % ts == 0, "core hops join PoP roots"
+    edges = [set(edge) for edge in network.pop_topology.edges]
+    assert {pop_u, pop_v} in edges, "core hops follow core links"
+    return network.num_nodes + edges.index({pop_u, pop_v})
+
+
+def _parent_walk(network, node):
+    walk = [node]
+    while network.local_of(walk[-1]):
+        pop, local = network.pop_of(walk[-1]), network.local_of(walk[-1])
+        walk.append(network.gid(pop, network.tree.parent(local)))
+    return walk
+
+
 @settings(max_examples=60, deadline=None)
 @given(network_and_nodes())
+@example(_DEEP_TRANSIT)
 def test_paths_links_costs_agree(case):
     network, a, b = case
     distance = network.distance(a, b)
@@ -151,6 +186,18 @@ def test_paths_links_costs_agree(case):
     assert len(links) == distance
     assert cost == pytest.approx(distance)
     assert path[0] == a and path[-1] == b
+    # The exact sequences: every hop joins adjacent nodes, and link i is
+    # the link of hop i, in path order.
+    hop_links = [_hop_link(network, u, v) for u, v in zip(path, path[1:])]
+    assert links == hop_links
+    for node in (a, b):
+        assert network.chain_to_root(node) == _parent_walk(network, node)
+    # The oracles hand out fresh lists: mutating one leaves the next
+    # answer intact.
+    path.reverse()
+    links.clear()
+    assert network.path_nodes(a, b) == path[::-1]
+    assert network.path_links(a, b) == hop_links
 
 
 @settings(max_examples=60, deadline=None)
