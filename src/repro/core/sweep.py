@@ -13,31 +13,33 @@ grid out over worker processes:
 * per-point seeds are derived with :func:`spawn_seeds` from one base
   seed via ``numpy.random.SeedSequence.spawn``, giving collision-free
   independent streams without hand-picked offsets;
-* a point whose worker raises is retried (with the
+* one submit/collect loop runs every sweep: a process pool takes every
+  chunk at once, and a serial sweep hands its chunks one at a time to
+  an in-process executor that returns finished futures;
+* a point whose chunk reports an error is retried alone (with the
   :class:`~repro.idicn.retry.RetryPolicy` backoff shapes) and, if it
   keeps failing, *reported* in :attr:`SweepOutcome.failures` — never
   silently dropped; a deadline turns still-pending points into reported
   failures while keeping every finished result (partial collection),
-  distinguishing points that *started* and overran (``timeout:``
-  errors) from points cancelled before their first attempt
-  (``cancelled:`` errors, :attr:`SweepOutcome.cancelled`).
+  labelled ``cancelled:`` (:attr:`SweepOutcome.cancelled`) exactly when
+  they never started an attempt and ``timeout:`` otherwise.
 
 Observability (all three sinks default to ``None`` and cost nothing
 when absent — lint rule ``O502`` pins the gating):
 
-* ``observer`` — workers collect simulation counters into a local
-  registry and ship its snapshot home with the chunk result; the parent
+* ``observer`` — each chunk collects simulation counters into a local
+  registry and ships its snapshot home with the chunk result; the parent
   merges shards on arrival (counters sum, so the merged registry is
-  byte-identical to a serial run's regardless of completion order) and
-  adds the sweep orchestration tallies.  Wall-clock families
+  byte-identical across worker counts regardless of completion order)
+  and adds the sweep orchestration tallies.  Wall-clock families
   (:data:`WALLCLOCK_METRICS`) are parent-only and excluded by
   :func:`deterministic_snapshot`.
 * ``spans`` — a :class:`~repro.obs.spans.SpanTracker`; the sweep emits
-  a ``sweep`` span with one ``chunk`` child per submitted chunk and one
-  ``point`` child per executed point.  Span records carry only
-  deterministic values, so for a fixed ``chunk_size`` the merged span
-  file is byte-identical across runs and worker counts (retries add
-  extra ``retry-*`` chunks, so identity is guaranteed for clean runs).
+  a ``sweep`` span with one ``chunk`` child per submitted chunk (retry
+  chunks included) and one ``point`` child per executed point.  Span
+  records carry only deterministic values, so for a fixed
+  ``chunk_size`` the merged span file is byte-identical across runs and
+  worker counts, retries included.
 * ``progress`` — a :class:`~repro.obs.progress.ProgressReporter`
   heartbeat updated as chunks complete.
 
@@ -52,12 +54,25 @@ from __future__ import annotations
 # schedule the sweep itself — deadlines and retry-backoff pauses; no
 # simulated result ever observes them.
 # lint: disable-file=D105
-import inspect
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    ParamSpec,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -75,7 +90,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.progress import ProgressReporter
     from ..obs.registry import MetricsRegistry
     from ..obs.sink import Observer
-    from ..obs.spans import SpanTracker
+    from ..obs.spans import Span, SpanTracker
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
@@ -96,7 +111,7 @@ __all__ = [
 DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
 
 #: Registry families that carry wall-clock measurements.  They live only
-#: in the parent registry (never in worker snapshots) and are the one
+#: in the parent registry (never in chunk snapshots) and are the one
 #: part of a sweep's merged registry that legitimately differs between
 #: two runs — strip them with :func:`deterministic_snapshot` before any
 #: byte-equality comparison.
@@ -112,6 +127,9 @@ WALLCLOCK_METRICS = frozenset(
 #: Error strings for the two distinct deadline outcomes.
 _TIMEOUT_ERROR = "timeout: sweep deadline exceeded"
 _CANCELLED_ERROR = "cancelled: sweep deadline exceeded before the attempt started"
+
+_P = ParamSpec("_P")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -139,8 +157,8 @@ class SweepOutcome:
     ``results`` maps point keys to experiment results; ``failures`` maps
     the keys that never succeeded to their per-attempt error strings.
     Every submitted key appears in exactly one of the two mappings.
-    ``attempts`` counts executions per key (1 = first try succeeded,
-    0 = the point never started).
+    ``attempts`` counts started executions per key (1 = first try
+    succeeded, 0 = the point never started).
     """
 
     results: dict[str, ExperimentResult] = field(default_factory=dict)
@@ -152,9 +170,11 @@ class SweepOutcome:
         """Keys whose final failure was a pre-start cancellation.
 
         A deadline produces two different kinds of losers: points that
-        started and overran (``timeout:`` errors) and points the sweep
-        never got to (``cancelled:`` errors).  Forensics care — a
-        cancelled point is innocent; a timed-out one may be the point
+        started at least one attempt (``timeout:`` errors, whether the
+        deadline caught that attempt or a later one) and points the
+        sweep never got to (``cancelled:`` errors).  A key is listed
+        here exactly when its ``attempts`` count is 0.  Forensics care —
+        a cancelled point is innocent; a timed-out one may be the point
         that blew the budget.
         """
         return tuple(
@@ -308,38 +328,6 @@ def merge_sharded_results(
     )
 
 
-def _accepts_observer(runner: Callable[..., object]) -> bool:
-    """Whether a runner callable can take an ``observer=`` keyword."""
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-    if "observer" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
-def _call_runner(
-    runner: Callable[..., ExperimentResult],
-    point: SweepPoint,
-    engine: str,
-    observer: "Observer | None",
-) -> ExperimentResult:
-    """Invoke a runner, forwarding the observer only if it takes one.
-
-    Custom runners predating observability keep their two-argument
-    signature; the default :func:`_run_point` threads the observer into
-    :func:`run_experiment` so worker-local registries see every
-    simulated request.
-    """
-    if observer is not None and _accepts_observer(runner):
-        return runner(point, engine, observer=observer)
-    return runner(point, engine)
-
-
 def _result_requests(result: object) -> int:
     """Requests simulated by one point (baseline plus each architecture).
 
@@ -354,8 +342,13 @@ def _result_requests(result: object) -> int:
 
 
 def _span_name(key: str) -> str:
-    """A point key as a span path segment (paths reserve ``/``)."""
-    return key.replace("/", "_")
+    """A point key as a span path segment.
+
+    Paths reserve ``/``, so it is percent-escaped, and so is ``%``
+    itself: the mapping stays injective, and distinct keys such as
+    ``x/y`` and ``x_y`` never share a span path.
+    """
+    return key.replace("%", "%25").replace("/", "%2F")
 
 
 def _record_point_span(
@@ -363,8 +356,7 @@ def _record_point_span(
 ) -> None:
     """Emit the closed ``point`` span for one executed sweep point.
 
-    Shared by the serial path and the worker chunks so both produce
-    byte-identical records: key, per-point seed, final status, and the
+    The record holds the key, per-point seed, final status, and the
     deterministic request count — never an elapsed time.
     """
     with tracker.span(
@@ -382,10 +374,10 @@ def _run_chunk(
     points: Sequence[SweepPoint],
     engine: str,
     runner: Callable[..., ExperimentResult],
+    deadline: float | None = None,
     collect_metrics: bool = False,
-    collect_spans: bool = False,
     span_seed: int = 0,
-    span_path: str = "",
+    span_path: str | None = None,
 ) -> tuple[
     list[tuple[str, bool, object]],
     dict[str, object] | None,
@@ -393,17 +385,25 @@ def _run_chunk(
     float,
     int,
 ]:
-    """Worker task: run a chunk, reporting per-point success or error.
+    """Run a chunk, reporting each started point's success or error.
 
+    The one place a sweep point runs, in a pool worker or in-process.
     Exceptions are converted to strings here so one bad point never
-    poisons its chunk-mates or the process pool.  With
-    ``collect_metrics`` the chunk runs under a worker-local
+    poisons its chunk-mates or the process pool.  ``deadline`` is the
+    parent's absolute :func:`time.monotonic` deadline: the chunk stops
+    at the first point it reaches at or after it and leaves that point
+    and the rest out of the report, as not started.  A worker may
+    compare the parent's reading with its own because Python makes
+    ``time.monotonic`` system-wide (``CLOCK_MONOTONIC`` on Linux), and
+    pool workers run on the parent's host.
+
+    With ``collect_metrics`` the chunk runs under a chunk-local
     :class:`~repro.obs.sink.Observer` and ships the registry snapshot
     home (counters only, so the parent merge is order-independent);
-    with ``collect_spans`` it ships ``point`` span records rooted at
-    the chunk path the parent assigned.  The wall-clock ``elapsed`` and
-    deterministic ``requests`` tallies feed the parent-only throughput
-    gauges.
+    given the path of the chunk span the parent opened, it ships
+    ``point`` span records rooted there.  The wall-clock ``elapsed``
+    and deterministic ``requests`` tallies feed the parent-only
+    throughput gauges.
     """
     observer: "Observer | None" = None
     tracker: "SpanTracker | None" = None
@@ -411,7 +411,7 @@ def _run_chunk(
         from ..obs.sink import Observer
 
         observer = Observer()
-    if collect_spans:
+    if span_path is not None:
         from ..obs.spans import SpanTracker
 
         tracker = SpanTracker(span_seed, prefix=span_path)
@@ -419,30 +419,43 @@ def _run_chunk(
     requests = 0
     start = time.perf_counter()
     for point in points:
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         try:
-            result = _call_runner(runner, point, engine, observer)
+            result = runner(point, engine, observer=observer)
         except Exception as exc:  # noqa: BLE001 - reported, never dropped
             out.append((point.key, False, f"{type(exc).__name__}: {exc}"))
             if tracker is not None:
                 _record_point_span(tracker, point, "error", 0)
             continue
         out.append((point.key, True, result))
-        if tracker is not None or observer is not None:
-            point_requests = _result_requests(result)
-            requests += point_requests
-            if tracker is not None:
-                _record_point_span(tracker, point, "ok", point_requests)
+        point_requests = _result_requests(result)
+        requests += point_requests
+        if tracker is not None:
+            _record_point_span(tracker, point, "ok", point_requests)
     elapsed = time.perf_counter() - start
     snapshot = observer.registry.snapshot() if observer is not None else None
     records = tracker.records() if tracker is not None else None
     return out, snapshot, records, elapsed, requests
 
 
-def _chunked(
-    points: Sequence[SweepPoint], chunk_size: int
-) -> Iterator[Sequence[SweepPoint]]:
-    for start in range(0, len(points), chunk_size):
-        yield points[start : start + chunk_size]
+class _SerialExecutor(Executor):
+    """The in-process executor a serial sweep submits its chunks to.
+
+    ``submit`` runs the call before it returns and hands back the
+    finished future, so :func:`run_sweep`'s submit/collect loop drives
+    a serial sweep exactly as it drives a process pool.
+    """
+
+    def submit(
+        self, fn: Callable[_P, _T], /, *args: _P.args, **kwargs: _P.kwargs
+    ) -> Future[_T]:
+        future: Future[_T] = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - re-raised by result()
+            future.set_exception(exc)
+        return future
 
 
 def _preregister_sweep_metrics(registry: "MetricsRegistry") -> None:
@@ -498,33 +511,43 @@ def run_sweep(
     """Run a grid of sweep points, in parallel when it pays.
 
     ``workers`` defaults to ``min(cpu_count, len(points))``; 0 or 1
-    forces the serial in-process path.  ``chunk_size`` groups points per
-    worker task (default: spread points evenly, ~4 chunks per worker).
-    ``retry_policy`` shapes re-execution of failing points
-    (``max_attempts`` tries with ``backoff_delay`` pauses); ``None``
-    means a single attempt.  ``timeout`` is a wall-clock deadline in
-    seconds for the whole sweep: finished points are kept, unfinished
-    ones are reported as failures (``timeout:`` if they started,
-    ``cancelled:`` if they never did).  ``runner`` is the per-point
-    callable (overridable for tests; must be picklable for workers; may
-    optionally accept an ``observer=`` keyword).
+    forces the serial in-process executor.  ``chunk_size`` (at least 1)
+    groups points per chunk (default: spread points evenly, ~4 chunks
+    per worker).  ``retry_policy`` shapes re-execution of failing
+    points (``max_attempts`` tries with ``backoff_delay`` pauses), each
+    retry running alone as a chunk queued behind the chunks already
+    queued; ``None`` means a single attempt.  ``timeout`` is a
+    wall-clock deadline in seconds for the whole sweep: finished points
+    are kept, unfinished ones are reported as failures, ``cancelled:``
+    if they never started an attempt and ``timeout:`` otherwise.
+    ``runner`` is the per-point callable, called as
+    ``runner(point, engine, observer=...)`` (overridable for tests;
+    must be picklable for workers).
 
     ``observer`` makes the parent registry the merged source of truth
-    for the whole sweep: simulation counters collected worker-locally
+    for the whole sweep: simulation counters collected chunk-locally
     and merged on arrival, plus the orchestration tallies
     (``repro_sweep_points_*``, attempts, backoff) and the wall-clock
     per-chunk throughput gauges (see :data:`WALLCLOCK_METRICS`).
-    ``progress`` receives heartbeat updates as points finish; ``spans``
-    receives the sweep/chunk/point span tree.  All three default to
-    ``None`` and, absent, leave the sweep bit-identical to an
-    unobserved one.
+    ``progress`` receives a heartbeat update as each chunk finishes;
+    ``spans`` receives the sweep/chunk/point span tree.  All three
+    default to ``None`` and, absent, leave the sweep bit-identical to
+    an unobserved one.
     """
     points = list(points)
     keys = [point.key for point in points]
     if len(set(keys)) != len(keys):
         raise ValueError("sweep point keys must be unique")
-    outcome = SweepOutcome()
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if workers is None:
+        workers = min(os.cpu_count() or 1, len(points))
+    if chunk_size is None:
+        chunk_size = max(1, len(points) // (max(workers, 1) * 4))
+    serial = workers <= 1 or len(points) <= 1
+    rng = np.random.default_rng(retry_policy.seed if retry_policy else 0)
     sweep_start = time.perf_counter()
+    deadline = time.monotonic() + timeout if timeout is not None else None
 
     if observer is not None:
         _preregister_sweep_metrics(observer.registry)
@@ -533,290 +556,174 @@ def run_sweep(
     sweep_span = None
     if spans is not None:
         sweep_span = spans.open(
-            "sweep", "sweep", points=len(points), engine=engine
+            "sweep",
+            "sweep",
+            points=len(points),
+            engine=engine,
+            chunk_size=chunk_size,
         )
 
-    def observed(finished: SweepOutcome) -> SweepOutcome:
-        if spans is not None:
-            spans.close(sweep_span)
-        retried = sum(
-            1 for count in finished.attempts.values() if count > 1
-        )
-        if observer is not None:
-            from ..obs.profiling import PHASE_METRIC
-
-            registry = observer.registry
-            registry.counter("repro_sweep_points_total").inc(
-                float(len(points))
-            )
-            registry.counter("repro_sweep_points_completed").inc(
-                float(len(finished.results))
-            )
-            registry.counter("repro_sweep_points_failed").inc(
-                float(len(finished.failures))
-            )
-            registry.counter("repro_sweep_points_cancelled").inc(
-                float(len(finished.cancelled))
-            )
-            registry.counter("repro_sweep_points_retried").inc(
-                float(retried)
-            )
-            registry.counter("repro_sweep_attempts_total").inc(
-                float(sum(finished.attempts.values()))
-            )
-            registry.gauge(
-                PHASE_METRIC,
-                help="wall-clock seconds spent per named phase",
-                phase="sweep",
-            ).add(time.perf_counter() - sweep_start)
-        if progress is not None:
-            progress.update(
-                done=len(finished.results),
-                failed=len(finished.failures),
-                in_flight=0,
-                retried=retried,
-                counters=(
-                    observer.registry.totals()
-                    if observer is not None
-                    else None
-                ),
-                force=True,
-            )
-        return finished
-
-    if not points:
-        return observed(outcome)
-    if workers is None:
-        workers = min(os.cpu_count() or 1, len(points))
-    rng = np.random.default_rng(retry_policy.seed if retry_policy else 0)
-    max_attempts = retry_policy.max_attempts if retry_policy else 1
-    deadline = time.monotonic() + timeout if timeout is not None else None
-
-    def backoff(attempt: int) -> None:
-        if retry_policy is None:
-            return
-        delay = retry_policy.backoff_delay(attempt - 1, rng)
-        if observer is not None:
-            observer.registry.counter(
-                "repro_sweep_backoff_seconds_total"
-            ).inc(delay)
-        if delay > 0:
-            time.sleep(delay)
-
-    if chunk_size is None:
-        chunk_size = max(1, len(points) // (max(workers, 1) * 4))
-    if spans is not None:
-        sweep_span.annotate(chunk_size=chunk_size)
-    collect = observer is not None or spans is not None or progress is not None
-
-    if workers <= 1 or len(points) == 1:
-        from_obs = None
-        if observer is not None:
-            from ..obs.sink import Observer
-
-            # Metrics-only view of the parent registry: serial points
-            # write the same counters a worker shard would ship home.
-            from_obs = Observer(registry=observer.registry)
-        done_points = failed_points = retried_points = 0
-        for index, chunk in enumerate(_chunked(points, chunk_size)):
-            chunk_span = None
-            if spans is not None:
-                chunk_span = spans.open(
-                    f"chunk-{index:04d}", "chunk", points=len(chunk)
-                )
-            chunk_requests = 0
-            chunk_start = time.perf_counter()
-            for point in chunk:
-                errors: list[str] = []
-                started = False
-                for attempt in range(1, max_attempts + 1):
-                    if deadline is not None and time.monotonic() > deadline:
-                        errors.append(
-                            _TIMEOUT_ERROR if started else _CANCELLED_ERROR
-                        )
-                        break
-                    started = True
-                    outcome.attempts[point.key] = attempt
-                    try:
-                        outcome.results[point.key] = _call_runner(
-                            runner, point, engine, from_obs
-                        )
-                        break
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append(f"{type(exc).__name__}: {exc}")
-                        if attempt < max_attempts:
-                            backoff(attempt)
-                if point.key not in outcome.results:
-                    outcome.failures[point.key] = errors or [_TIMEOUT_ERROR]
-                    outcome.attempts.setdefault(point.key, 0)
-                    failed_points += 1
-                    if spans is not None:
-                        _record_point_span(spans, point, "error", 0)
-                else:
-                    done_points += 1
-                    if outcome.attempts[point.key] > 1:
-                        retried_points += 1
-                    if collect:
-                        point_requests = _result_requests(
-                            outcome.results[point.key]
-                        )
-                        chunk_requests += point_requests
-                        if spans is not None:
-                            _record_point_span(
-                                spans, point, "ok", point_requests
-                            )
-                if progress is not None:
-                    progress.update(
-                        done=done_points,
-                        failed=failed_points,
-                        in_flight=0,
-                        retried=retried_points,
-                        counters=(
-                            observer.registry.totals()
-                            if observer is not None
-                            else None
-                        ),
-                    )
-            if spans is not None:
-                chunk_span.annotate(requests=chunk_requests)
-                spans.close(chunk_span)
-            if observer is not None:
-                elapsed = time.perf_counter() - chunk_start
-                _chunk_throughput(
-                    observer.registry, f"chunk-{index:04d}",
-                    elapsed, chunk_requests,
-                )
-        return observed(outcome)
-
+    outcome = SweepOutcome()
+    attempts = dict.fromkeys(keys, 0)
+    errors: dict[str, list[str]] = {key: [] for key in keys}
     by_key = {point.key: point for point in points}
-    errors_by_key: dict[str, list[str]] = {key: [] for key in keys}
-    attempts_by_key: dict[str, int] = {key: 0 for key in keys}
-    retried_count = 0
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        chunk_spans: dict[object, object] = {}
-        chunk_labels: dict[object, str] = {}
-
-        def submit(chunk: Sequence[SweepPoint], label: str) -> None:
-            span_path = ""
-            chunk_span = None
-            if spans is not None:
-                with spans.span(label, "chunk", points=len(chunk)) as opened:
-                    chunk_span = opened
-                span_path = chunk_span.path
-            future = pool.submit(
-                _run_chunk,
-                chunk,
-                engine,
-                runner,
-                observer is not None,
-                spans is not None,
-                spans.seed if spans is not None else 0,
-                span_path,
-            )
-            pending[future] = [point.key for point in chunk]
-            chunk_labels[future] = label
-            if chunk_span is not None:
-                chunk_spans[future] = chunk_span
-
-        for index, chunk in enumerate(_chunked(points, chunk_size)):
-            for point in chunk:
-                attempts_by_key[point.key] += 1
-            submit(chunk, f"chunk-{index:04d}")
-        timed_out = False
-        while pending:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    timed_out = True
-                    break
+    queue = deque(
+        (points[start : start + chunk_size], f"chunk-{index:04d}")
+        for index, start in enumerate(range(0, len(points), chunk_size))
+    )
+    # A serial sweep finishes (and heartbeats) each chunk before the
+    # next one starts; a pool takes every queued chunk at once.
+    window = 1 if serial else len(points)
+    pending: dict[Future, tuple[list[str], str, Span | None]] = {}
+    retries = 0
+    pool = _SerialExecutor() if serial else ProcessPoolExecutor(workers)
+    with pool:
+        while queue or pending:
+            while queue and len(pending) < window:
+                chunk, label = queue.popleft()
+                chunk_span = None
+                if spans is not None:
+                    chunk_span = spans.open(label, "chunk", points=len(chunk))
+                    spans.close(chunk_span)
+                submitted = pool.submit(
+                    _run_chunk,
+                    chunk,
+                    engine,
+                    runner,
+                    deadline,
+                    observer is not None,
+                    spans.seed if spans is not None else 0,
+                    chunk_span.path if chunk_span is not None else None,
+                )
+                pending[submitted] = (
+                    [point.key for point in chunk], label, chunk_span
+                )
             done, _ = wait(
-                pending, timeout=remaining, return_when=FIRST_COMPLETED
+                pending,
+                timeout=(
+                    None if deadline is None else deadline - time.monotonic()
+                ),
+                return_when=FIRST_COMPLETED,
             )
-            if not done:
-                timed_out = True
-                break
             for future in done:
-                chunk_keys = pending.pop(future)
-                label = chunk_labels.pop(future)
-                chunk_span = chunk_spans.pop(future, None)
+                chunk_keys, label, chunk_span = pending.pop(future)
                 try:
-                    (
-                        reports,
-                        snapshot,
-                        records,
-                        elapsed,
-                        chunk_requests,
-                    ) = future.result()
+                    reports, snapshot, records, elapsed, chunk_requests = (
+                        future.result()
+                    )
                 except Exception as exc:  # noqa: BLE001 - whole chunk died
-                    reports = [
-                        (key, False, f"{type(exc).__name__}: {exc}")
-                        for key in chunk_keys
-                    ]
+                    error = f"{type(exc).__name__}: {exc}"
+                    reports = [(key, False, error) for key in chunk_keys]
                     snapshot = records = None
-                    elapsed = 0.0
-                    chunk_requests = 0
+                    elapsed, chunk_requests = 0.0, 0
                 if observer is not None and snapshot is not None:
                     observer.registry.merge(snapshot)
                     _chunk_throughput(
                         observer.registry, label, elapsed, chunk_requests
                     )
-                if spans is not None:
+                if chunk_span is not None:
                     chunk_span.annotate(requests=chunk_requests)
-                    if records is not None:
-                        spans.extend(records)
+                if spans is not None and records is not None:
+                    spans.extend(records)
                 for key, ok, payload in reports:
+                    attempts[key] += 1
                     if ok:
                         outcome.results[key] = payload
                         continue
-                    errors_by_key[key].append(payload)
-                    if attempts_by_key[key] < max_attempts:
-                        # Retry the point alone so a chunk-mate's cost
-                        # is not paid twice.
-                        backoff(attempts_by_key[key])
-                        attempts_by_key[key] += 1
-                        retried_count += 1
-                        submit(
+                    errors[key].append(payload)
+                    if (
+                        retry_policy is None
+                        or attempts[key] >= retry_policy.max_attempts
+                    ):
+                        outcome.failures[key] = errors[key]
+                        continue
+                    # Retry the point alone so a chunk-mate's cost is
+                    # not paid twice.
+                    delay = retry_policy.backoff_delay(attempts[key] - 1, rng)
+                    if observer is not None:
+                        observer.registry.counter(
+                            "repro_sweep_backoff_seconds_total"
+                        ).inc(delay)
+                    if delay > 0:
+                        time.sleep(delay)
+                    retries += 1
+                    queue.append(
+                        (
                             [by_key[key]],
-                            f"retry-{_span_name(key)}-{attempts_by_key[key]}",
+                            f"retry-{_span_name(key)}-{attempts[key] + 1}",
                         )
-                    else:
-                        outcome.failures[key] = errors_by_key[key]
+                    )
                 if progress is not None:
                     progress.update(
                         done=len(outcome.results),
                         failed=len(outcome.failures),
                         in_flight=sum(
-                            len(keys) for keys in pending.values()
+                            len(waiting) for waiting, _, _ in pending.values()
                         ),
-                        retried=retried_count,
+                        retried=retries,
                         counters=(
                             observer.registry.totals()
                             if observer is not None
                             else None
                         ),
                     )
-        if timed_out:
-            for future, chunk_keys in pending.items():
-                never_ran = future.cancel()
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+        for future, (chunk_keys, _, _) in pending.items():
+            # A chunk the pool already took counts as started: which of
+            # its points ran is not knowable from here.
+            if not future.cancel():
                 for key in chunk_keys:
-                    if key in outcome.results:
-                        continue
-                    if never_ran:
-                        # The chunk was still queued: its points never
-                        # started, which is a different forensic story
-                        # than a point that ran out the clock.
-                        attempts_by_key[key] -= 1
-                        errors_by_key[key].append(_CANCELLED_ERROR)
-                    else:
-                        errors_by_key[key].append(_TIMEOUT_ERROR)
-                    outcome.failures[key] = errors_by_key[key]
+                    attempts[key] += 1
+        if pending:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    outcome.attempts.update(attempts_by_key)
-    return observed(outcome)
+    for key in keys:
+        if key not in outcome.results and key not in outcome.failures:
+            errors[key].append(
+                _CANCELLED_ERROR if attempts[key] == 0 else _TIMEOUT_ERROR
+            )
+            outcome.failures[key] = errors[key]
+    outcome.attempts.update(attempts)
+
+    if spans is not None:
+        spans.close(sweep_span)
+    retried = sum(1 for count in attempts.values() if count > 1)
+    if observer is not None:
+        from ..obs.profiling import PHASE_METRIC
+
+        registry = observer.registry
+        registry.counter("repro_sweep_points_total").inc(float(len(points)))
+        registry.counter("repro_sweep_points_completed").inc(
+            float(len(outcome.results))
+        )
+        registry.counter("repro_sweep_points_failed").inc(
+            float(len(outcome.failures))
+        )
+        registry.counter("repro_sweep_points_cancelled").inc(
+            float(len(outcome.cancelled))
+        )
+        registry.counter("repro_sweep_points_retried").inc(float(retried))
+        registry.counter("repro_sweep_attempts_total").inc(
+            float(sum(attempts.values()))
+        )
+        registry.gauge(
+            PHASE_METRIC,
+            help="wall-clock seconds spent per named phase",
+            phase="sweep",
+        ).add(time.perf_counter() - sweep_start)
+    if progress is not None:
+        progress.update(
+            done=len(outcome.results),
+            failed=len(outcome.failures),
+            in_flight=0,
+            retried=retried,
+            counters=(
+                observer.registry.totals() if observer is not None else None
+            ),
+            force=True,
+        )
+    return outcome
 
 
 def _chunk_throughput(
@@ -825,7 +732,7 @@ def _chunk_throughput(
     """Record one chunk's wall-clock cost and request throughput.
 
     Parent-only families (see :data:`WALLCLOCK_METRICS`): they carry
-    wall-clock values, so they never ride in worker snapshots and are
+    wall-clock values, so they never ride in chunk snapshots and are
     stripped from deterministic comparisons.
     """
     registry.gauge(

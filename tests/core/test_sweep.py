@@ -86,11 +86,11 @@ def _flaky_runner(point, engine, fail_keys=frozenset(), always=False):
 _flaky_runner.seen = {}
 
 
-def _always_failing_runner(point, engine):
+def _always_failing_runner(point, engine, observer=None):
     raise RuntimeError(f"injected fault at {point.key}")
 
 
-def _fail_once_runner(point, engine):
+def _fail_once_runner(point, engine, observer=None):
     return _flaky_runner(point, engine, fail_keys={"alpha-1"})
 
 
@@ -147,7 +147,7 @@ def test_results_and_failures_cover_all_keys():
     assert set(outcome.failures) == {"alpha-2"}
 
 
-def _bad_middle_runner(point, engine):
+def _bad_middle_runner(point, engine, observer=None):
     if point.key == "alpha-2":
         raise ValueError("poisoned point")
     from repro.core.sweep import _run_point
@@ -164,6 +164,23 @@ def test_duplicate_keys_rejected():
 def test_empty_sweep():
     outcome = run_sweep([], workers=4)
     assert not outcome.results and not outcome.failures
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_bad_chunk_size_rejected_before_any_work(
+    tmp_path, workers, chunk_size
+):
+    progress = ProgressReporter(tmp_path / "heartbeat.json")
+    with pytest.raises(ValueError, match="chunk_size"):
+        run_sweep(
+            _points(3),
+            workers=workers,
+            chunk_size=chunk_size,
+            progress=progress,
+        )
+    # Rejected before the heartbeat's first write.
+    assert not progress.path.exists()
 
 
 def test_spawn_seeds_are_distinct_and_deterministic():
@@ -284,7 +301,7 @@ def test_timeout_returns_partial_results():
         assert outcome.attempts[key] == 0
 
 
-def _slow_failing_runner(point, engine):
+def _slow_failing_runner(point, engine, observer=None):
     import time as _time
 
     _time.sleep(0.4)
@@ -317,3 +334,37 @@ def test_timeout_distinguishes_started_from_cancelled():
     for key in outcome.cancelled:
         assert outcome.attempts[key] == 0
         assert outcome.failures[key][-1].startswith("cancelled:")
+
+
+def _fast_fault_runner(point, engine, observer=None):
+    import time as _time
+
+    if point.key == "alpha-0":
+        raise RuntimeError("fast fault")
+    _time.sleep(1.5)
+    from repro.core.sweep import _run_point
+
+    return _run_point(point, engine, observer=observer)
+
+
+def test_cancelled_retry_of_a_point_that_ran_is_a_timeout():
+    """Pool path: the deadline cancels ``alpha-0``'s queued retry.
+
+    ``alpha-0`` ran once and failed, so losing its retry to the
+    deadline is a ``timeout:`` with one attempt, not a cancellation.
+    Across every failed key, ``cancelled`` means exactly zero attempts.
+    """
+    outcome = run_sweep(
+        _points(8),
+        workers=2,
+        chunk_size=1,
+        timeout=0.75,
+        runner=_fast_fault_runner,
+        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+    )
+    first = outcome.failures["alpha-0"]
+    assert first[0] == "RuntimeError: fast fault"
+    assert first[-1].startswith("timeout:")
+    assert outcome.attempts["alpha-0"] == 1
+    for key in outcome.failures:
+        assert (key in outcome.cancelled) == (outcome.attempts[key] == 0)

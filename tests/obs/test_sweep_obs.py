@@ -14,7 +14,10 @@ The acceptance contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.core import (
     ICN_SP,
@@ -23,7 +26,11 @@ from repro.core import (
     run_sweep,
     seeded_configs,
 )
-from repro.core.sweep import WALLCLOCK_METRICS, deterministic_snapshot
+from repro.core.sweep import (
+    WALLCLOCK_METRICS,
+    _run_point,
+    deterministic_snapshot,
+)
 from repro.idicn.retry import RetryPolicy
 from repro.obs import (
     Observer,
@@ -49,7 +56,9 @@ def _points(n: int = 4) -> list[SweepPoint]:
     ]
 
 
-def _observed_run(tmp_path, tag: str, workers: int, chunk_size: int = 2):
+def _observed_run(
+    tmp_path, tag: str, workers: int, chunk_size: int = 2, **sweep_kwargs
+):
     observer = Observer()
     tracker = SpanTracker(2013)
     progress = ProgressReporter(tmp_path / f"heartbeat-{tag}.json")
@@ -60,6 +69,7 @@ def _observed_run(tmp_path, tag: str, workers: int, chunk_size: int = 2):
         observer=observer,
         progress=progress,
         spans=tracker,
+        **sweep_kwargs,
     )
     return outcome, observer, tracker, progress
 
@@ -79,13 +89,44 @@ def _result_fingerprint(outcome):
     }
 
 
+def _odd_points_failing_runner(point, engine, observer=None):
+    # Module-level so it pickles into worker processes.
+    if point.key in ("alpha-1", "alpha-3"):
+        raise RuntimeError(f"injected fault at {point.key}")
+    return _run_point(point, engine, observer=observer)
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "sweep_kwargs",
+        [
+            {},
+            {
+                "runner": _odd_points_failing_runner,
+                "retry_policy": RetryPolicy(
+                    max_attempts=2, base_delay=0.0, jitter=0.0
+                ),
+            },
+        ],
+        ids=["clean", "retries"],
+    )
     def test_parallel_artifacts_byte_identical_across_runs_and_serial(
-        self, tmp_path
+        self, tmp_path, sweep_kwargs
     ):
-        first = _observed_run(tmp_path, "a", workers=2)
-        second = _observed_run(tmp_path, "b", workers=2)
-        serial = _observed_run(tmp_path, "s", workers=0)
+        first = _observed_run(tmp_path, "a", workers=2, **sweep_kwargs)
+        second = _observed_run(tmp_path, "b", workers=2, **sweep_kwargs)
+        serial = _observed_run(tmp_path, "s", workers=0, **sweep_kwargs)
+        outcomes = [run[0] for run in (first, second, serial)]
+        assert (
+            outcomes[0].attempts
+            == outcomes[1].attempts
+            == outcomes[2].attempts
+        )
+        assert (
+            outcomes[0].failures
+            == outcomes[1].failures
+            == outcomes[2].failures
+        )
         snapshots = [
             _canonical(deterministic_snapshot(run[1].registry))
             for run in (first, second, serial)
@@ -207,11 +248,12 @@ class TestAccounting:
         assert totals["repro_sweep_points_failed"] == 3.0
         assert totals["repro_sweep_attempts_total"] == 0.0
 
-    def test_retry_chunks_get_distinct_span_paths(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_retry_chunks_get_distinct_span_paths(self, tmp_path, workers):
         tracker = SpanTracker(2013)
         outcome = run_sweep(
             _points(3),
-            workers=2,
+            workers=workers,
             chunk_size=3,
             runner=_always_failing_runner,
             retry_policy=RetryPolicy(
@@ -230,6 +272,26 @@ class TestAccounting:
             "retry-alpha-2-2",
         ]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_colliding_key_escapes_get_distinct_point_spans(self, workers):
+        # `x/y` shares a span name with `x_y` if `/` becomes `_`, and
+        # with `x%2Fy` if `/` is percent-escaped but `%` is not.
+        points = [
+            dataclasses.replace(point, key=key)
+            for point, key in zip(_points(3), ("x/y", "x_y", "x%2Fy"))
+        ]
+        tracker = SpanTracker(2013)
+        traced = run_sweep(
+            points, workers=workers, chunk_size=3, spans=tracker
+        )
+        bare = run_sweep(points, workers=workers, chunk_size=3)
+        assert not traced.failures and not bare.failures
+        assert _result_fingerprint(traced) == _result_fingerprint(bare)
+        paths = [
+            r["path"] for r in tracker.records() if r["kind"] == "point"
+        ]
+        assert len(paths) == len(set(paths)) == 3
 
-def _always_failing_runner(point, engine):
+
+def _always_failing_runner(point, engine, observer=None):
     raise RuntimeError(f"injected fault at {point.key}")
