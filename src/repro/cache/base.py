@@ -16,7 +16,7 @@ class Cache(ABC):
     """Abstract size-bounded cache."""
 
     def __init__(self, capacity: float) -> None:
-        if capacity < 0:
+        if not capacity >= 0:  # NaN fails this too
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.hits = 0

@@ -24,10 +24,15 @@ from ..topology.network import Network
 DEFAULT_BUDGET_FRACTION = 0.05
 
 
+def _check_fraction(fraction: float) -> None:
+    # Written so NaN fails too: every comparison with NaN is False.
+    if not fraction >= 0:
+        raise ValueError(f"fraction must be >= 0, got {fraction}")
+
+
 def total_budget(fraction: float, num_routers: int, num_objects: int) -> float:
     """Network-wide cache budget ``F * R * O`` in object slots."""
-    if fraction < 0:
-        raise ValueError(f"fraction must be >= 0, got {fraction}")
+    _check_fraction(fraction)
     return fraction * num_routers * num_objects
 
 
@@ -35,10 +40,8 @@ def uniform_node_budgets(
     network: Network, fraction: float, num_objects: int
 ) -> list[float]:
     """Per-node budgets under the uniform split: every router gets F*O."""
-    per_node = fraction * num_objects
-    if per_node < 0:
-        raise ValueError("budget fraction must be >= 0")
-    return [per_node] * network.num_nodes
+    _check_fraction(fraction)
+    return [fraction * num_objects] * network.num_nodes
 
 
 def proportional_node_budgets(

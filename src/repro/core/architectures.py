@@ -80,8 +80,10 @@ class Architecture:
             raise ValueError(
                 f"cooperation applies to sp routing only, not {self.routing!r}"
             )
-        if self.budget_multiplier <= 0:
-            raise ValueError("budget_multiplier must be > 0")
+        if not self.budget_multiplier > 0:  # NaN fails this too
+            raise ValueError(
+                f"budget_multiplier must be > 0, got {self.budget_multiplier}"
+            )
         if self.insertion not in INSERTIONS:
             raise ValueError(
                 f"unknown insertion {self.insertion!r}; choose from "

@@ -23,10 +23,11 @@ class CapacityModel:
     window: int = 1000
 
     def __post_init__(self) -> None:
-        if self.per_window < 1:
-            raise ValueError("per_window must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not self.per_window >= 1:
+            raise ValueError(f"per_window must be >= 1, got {self.per_window}")
+        if not self.window >= 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 class CapacityTracker:

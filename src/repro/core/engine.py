@@ -55,20 +55,10 @@ def _stream_bounds(
 ) -> tuple[int, int]:
     """Resolve ``(num_requests, first_measured)`` for a request stream.
 
-    A :class:`StreamingWorkload` may not know its length up front
-    (``num_requests is None``); that is only workable with no warmup,
-    because the warmup boundary is an absolute request index.  The
-    resolved length is then reported as 0 (e.g. in observer run
-    headers) and every request is measured.
+    The warmup boundary is an absolute request index: the first
+    ``warmup_fraction`` of the stream is simulated but not measured.
     """
     num_requests = workload.num_requests
-    if num_requests is None:
-        if warmup_fraction != 0.0:
-            raise ValueError(
-                "warmup_fraction > 0 requires a stream of known length; "
-                "this StreamingWorkload has num_requests=None"
-            )
-        return 0, 0
     return num_requests, int(warmup_fraction * num_requests)
 
 

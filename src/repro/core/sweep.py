@@ -307,11 +307,25 @@ def merge_sharded_results(
     a backbone cache warmed by one shard's requests never serves
     another shard's — and with warmup each shard additionally warms up
     on its own prefix instead of the global one.
+
+    Every shard must report exactly the point's architecture line-up, in
+    order; a shard that lacks one or carries an extra is rejected rather
+    than merged.
     """
     if not shard_results:
         raise ValueError("cannot merge zero shard results")
+    arch_names = [arch.name for arch in point.architectures]
+    for position, shard in enumerate(shard_results):
+        names = list(shard.results)
+        if names != arch_names:
+            missing = [name for name in arch_names if name not in names]
+            extra = [name for name in names if name not in arch_names]
+            raise ValueError(
+                f"shard result {position} does not match point "
+                f"{point.key!r}: expected {arch_names}, got {names} "
+                f"(missing {missing}, extra {extra})"
+            )
     baseline = merge_results([shard.baseline for shard in shard_results])
-    arch_names = list(shard_results[0].results)
     results = {
         name: merge_results([shard.results[name] for shard in shard_results])
         for name in arch_names

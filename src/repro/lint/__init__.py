@@ -2,21 +2,22 @@
 
 The quantitative claims (Figures 6-10) rest on bit-identical seeded
 simulation, and two engines now share that contract.  ``repro.lint``
-enforces statically what the differential test matrix can only check
-for knobs it already knows about:
+checks the part of that contract a passing run cannot see: the shape of
+the code.  A property Python exposes on a live object (a signature, a
+dataclass's fields, a registry, a class's methods) is asserted on the
+object by a test instead; engine parity and cache conformance live in
+the differential suite and the cache tests (see DESIGN.md, "Runtime
+contracts").  The families:
 
 * **determinism** (D1xx) — every random draw in the simulation packages
   flows through a seeded ``np.random.Generator``; no stdlib ``random``,
   wall clocks, or OS entropy;
-* **engine parity** (P2xx) — every ``Simulator.__init__`` knob is
-  consumed by the fast engine, every ``SimulationResult`` field is
-  produced by the shared ``from_counters`` finalizer;
-* **cache conformance** (C3xx) — every policy implements the full
-  ``Cache`` interface and has a registered fast-struct twin;
 * **order stability** (O4xx) — no unordered iteration or ``popitem`` in
   the engine hot modules;
 * **observability gating** (O5xx) — sink touches in the hot loops stay
   behind their zero-overhead guards;
+* **robustness** (R6xx) — every queue-like container and ``while True``
+  loop in ``repro.idicn`` has a bound or an exit;
 * **seed flow** (S7xx) — whole-program: every generator's seed traces
   to a SeedSequence/seeded-config lineage, never to ambient entropy or
   a literal smuggled into an already-seeded call chain;

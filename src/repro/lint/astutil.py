@@ -56,59 +56,3 @@ def resolve(node: ast.expr, aliases: dict[str, str]) -> str | None:
     head, _, rest = name.partition(".")
     full_head = aliases.get(head, head)
     return f"{full_head}.{rest}" if rest else full_head
-
-
-def class_methods(cls: ast.ClassDef) -> set[str]:
-    """Names of functions defined directly in a class body."""
-    return {
-        stmt.name
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    """The top-level class definition called ``name``, if any."""
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def find_method(
-    cls: ast.ClassDef, name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The method called ``name`` defined directly on ``cls``, if any."""
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name == name:
-                return stmt
-    return None
-
-
-def string_dict_keys(tree: ast.Module, name: str) -> dict[str, ast.expr] | None:
-    """Keys/values of a module-level ``NAME = {"k": v, ...}`` literal.
-
-    Returns None when no such assignment exists; non-string keys are
-    skipped (the registries this serves key policies by name).
-    """
-    for stmt in tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if isinstance(value, ast.Dict):
-                    return {
-                        key.value: val
-                        for key, val in zip(value.keys, value.values)
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    }
-    return None

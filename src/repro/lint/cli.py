@@ -20,8 +20,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Repo-specific static analysis: determinism, engine parity, "
-            "cache conformance, and iteration-order stability."
+            "Repo-specific static analysis: determinism, iteration-order "
+            "stability, observability gating, bounded waits, seed flow, "
+            "worker safety, and the metrics contract."
         ),
     )
     parser.add_argument(

@@ -1,29 +1,22 @@
 """Reusable data-flow primitives for repro.lint.
 
-Two engines live here:
+The engine here is the **backward origin resolver**
+(:class:`OriginResolver`): it answers "where does this expression's
+value come from" *interprocedurally*, through local assignments,
+function parameters (mapped onto caller arguments at every known call
+site, including ``functools.partial`` bindings, keyword-only params,
+and declared defaults), module-level constants (across imports),
+``self.*`` attributes (chased into ``__init__``), and resolved call
+return values.  The answer is a set of :class:`Origin` leaves —
+literals, unresolved parameters, external calls, attribute reads —
+that rule families classify (is this seed SeedSequence-derived?  is
+this observed value wall-clock tainted?).  :func:`attr_targets` and
+:func:`name_targets` decompose assignment targets for it.
 
-* the **forward taint pass** (:func:`constructor_taint`, plus the
-  :func:`attr_targets` / :func:`name_targets` target decomposers) —
-  originally a private walk inside ``parity.py``, now shared: a set of
-  seed names flows through local assignments in statement order and
-  every ``self.X`` store charges the taint of its value to attribute
-  ``X``.  Over-approximate on reachability (loop/if/try bodies are
-  walked unconditionally), which is the safe direction for every rule
-  built on it;
-* the **backward origin resolver** (:class:`OriginResolver`) — answers
-  "where does this expression's value come from" *interprocedurally*:
-  through local assignments, function parameters (mapped onto caller
-  arguments at every known call site, including ``functools.partial``
-  bindings, keyword-only params, and declared defaults), module-level
-  constants (across imports), ``self.*`` attributes (chased into
-  ``__init__``), and resolved call return values.  The answer is a set
-  of :class:`Origin` leaves — literals, unresolved parameters, external
-  calls, attribute reads — that rule families classify (is this seed
-  SeedSequence-derived?  is this observed value wall-clock tainted?).
-
-Both are static over-approximations with bounded depth; unresolvable
-expressions bottom out in explicit ``Origin`` kinds rather than being
-silently dropped, so rules can choose how to treat uncertainty.
+The resolver is a static over-approximation with bounded depth;
+unresolvable expressions bottom out in explicit ``Origin`` kinds rather
+than being silently dropped, so rules can choose how to treat
+uncertainty.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ MAX_SITES = 25
 
 
 # ----------------------------------------------------------------------
-# Forward taint (shared with parity.py)
+# Assignment-target decomposition
 # ----------------------------------------------------------------------
 def attr_targets(target: ast.expr) -> list[str]:
     """Attribute names written by one assignment target on ``self``."""
@@ -80,76 +73,6 @@ def name_targets(target: ast.expr) -> list[str]:
             out.extend(name_targets(element))
         return out
     return []
-
-
-def constructor_taint(
-    init: ast.FunctionDef | ast.AsyncFunctionDef,
-    params: set[str],
-) -> dict[str, set[str]]:
-    """Stored attribute name -> set of seed names that taint it.
-
-    A forward pass in statement order: local names accumulate the
-    seed-taint of the names on their right-hand side, and every
-    assignment to ``self.X`` (or ``self.X[...]``) charges the taint of
-    its value to attribute ``X``.  Loop/with/if bodies are walked in
-    source order; that over-approximates reachability, which is the
-    safe direction (it can only make a seed look *more* consumed
-    locally, never hide a missing downstream read).
-    """
-    taint: dict[str, set[str]] = {p: {p} for p in params}
-    attrs: dict[str, set[str]] = {}
-
-    def names_taint(expr: ast.expr) -> set[str]:
-        found: set[str] = set()
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name):
-                found |= taint.get(node.id, set())
-        return found
-
-    def visit(stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                value = stmt.value
-                if value is None:
-                    continue
-                value_taint = names_taint(value)
-                targets = (
-                    stmt.targets
-                    if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-                for target in targets:
-                    for name in attr_targets(target):
-                        attrs.setdefault(name, set()).update(value_taint)
-                    for name in name_targets(target):
-                        taint.setdefault(name, set()).update(value_taint)
-            elif isinstance(stmt, ast.For):
-                iter_taint = names_taint(stmt.iter)
-                for name in name_targets(stmt.target):
-                    taint.setdefault(name, set()).update(iter_taint)
-                visit(stmt.body)
-                visit(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                visit(stmt.body)
-                visit(stmt.orelse)
-            elif isinstance(stmt, ast.If):
-                visit(stmt.body)
-                visit(stmt.orelse)
-            elif isinstance(stmt, ast.With):
-                visit(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                visit(stmt.body)
-                for handler in stmt.handlers:
-                    visit(handler.body)
-                visit(stmt.orelse)
-                visit(stmt.finalbody)
-            elif isinstance(stmt, ast.Expr):
-                # Bare calls like `self.caches[...].insert(...)` store no
-                # new state for this pass.
-                continue
-
-    visit(init.body)
-    return attrs
 
 
 # ----------------------------------------------------------------------

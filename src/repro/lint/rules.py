@@ -6,12 +6,6 @@ Rule ids are grouped by family:
   entropy, no unseeded or global-state NumPy RNGs inside the simulation
   packages (``repro.core``, ``repro.cache``, ``repro.workload``,
   ``repro.topology``, ``repro.idicn``);
-* ``P2xx`` — engine parity: every ``Simulator.__init__`` knob must be
-  consumed by the fast engine, every ``SimulationResult`` field must be
-  produced by ``from_counters`` (the drift the differential test matrix
-  cannot see, because it only sweeps knobs it already knows about);
-* ``C3xx`` — cache conformance: every policy implements the full
-  ``Cache`` interface and has a registered fast-struct twin;
 * ``O4xx`` — order stability: no iteration over unordered containers
   and no ``dict.popitem`` in the engine/fastpath hot modules, where
   iteration order feeds simulation results;
@@ -128,53 +122,6 @@ SCHEDULING_CLOCK = Rule(
     summary=(
         "time.monotonic/time.sleep in a simulation package; fine for "
         "orchestration deadlines, a bug if it feeds simulated results"
-    ),
-)
-
-PARITY_KNOB = Rule(
-    id="P201",
-    name="engine-parity-knob",
-    severity=Severity.ERROR,
-    summary=(
-        "Simulator.__init__ knob is never consumed by the fast engine "
-        "(core/fastpath.py); the engines would silently diverge"
-    ),
-)
-
-PARITY_RESULT_FIELD = Rule(
-    id="P202",
-    name="result-field-unwired",
-    severity=Severity.ERROR,
-    summary=(
-        "SimulationResult field is not produced by from_counters, so "
-        "one engine could populate it and the other not"
-    ),
-)
-
-CACHE_INTERFACE = Rule(
-    id="C301",
-    name="cache-interface-incomplete",
-    severity=Severity.ERROR,
-    summary="cache policy does not implement the full Cache base interface",
-)
-
-FAST_REGISTRY_DRIFT = Rule(
-    id="C302",
-    name="fast-policy-registry-drift",
-    severity=Severity.ERROR,
-    summary=(
-        "POLICIES (reference) and _FAST_POLICIES (cache/fast.py) "
-        "register different policy names"
-    ),
-)
-
-FAST_STRUCT_INTERFACE = Rule(
-    id="C303",
-    name="fast-struct-incomplete",
-    severity=Severity.ERROR,
-    summary=(
-        "fast cache struct is missing part of the engine-facing "
-        "interface (lookup/insert/__contains__/__len__)"
     ),
 )
 
@@ -338,11 +285,6 @@ ALL_RULES: tuple[Rule, ...] = (
     NUMPY_GLOBAL_RNG,
     SHADOWED_RNG,
     SCHEDULING_CLOCK,
-    PARITY_KNOB,
-    PARITY_RESULT_FIELD,
-    CACHE_INTERFACE,
-    FAST_REGISTRY_DRIFT,
-    FAST_STRUCT_INTERFACE,
     SET_ITERATION,
     POPITEM,
     OBS_UNGATED,

@@ -3,14 +3,12 @@
 The runner turns path arguments into a set of parsed modules, maps each
 file to its dotted module name (everything from the last ``repro`` path
 component down, so fixture trees under ``tmp/src/repro/...`` lint the
-same way the real package does), runs the per-file determinism family,
-and then anchors the project-scope families:
+same way the real package does), runs the per-file determinism
+(``D1xx``) and robustness (``R6xx``) families, and then anchors the project-scope families:
 
-* engine parity needs ``repro.core.engine`` / ``repro.core.fastpath`` /
-  ``repro.core.metrics``;
-* cache conformance needs the ``repro/cache/`` modules;
 * order stability and observability gating need the engine/fastpath
   pair;
+* span gating needs the sweep orchestrator and the idICN scheduler;
 * the whole-program families (seed-flow ``S7xx``, worker-safety
   ``W8xx``, metrics-contract ``M9xx``) run over a
   :class:`~repro.lint.graph.ModuleGraph`/:class:`~repro.lint.graph.CallGraph`
@@ -19,7 +17,7 @@ and then anchors the project-scope families:
 
 Anchors are taken from the linted set first and fall back to the
 package directory on disk (so ``python -m repro.lint src/repro/idicn``
-still checks engine parity for the package it belongs to).  Inline
+still checks the engine hot loops of the package it belongs to).  Inline
 suppressions are applied last, against every family uniformly; the
 suppression comments themselves are checked (unknown ids are ``E998``
 errors, and ``strict`` runs report unused entries as ``E997``).
@@ -34,12 +32,10 @@ from typing import Iterable, Sequence
 
 from . import (
     bounds,
-    conformance,
     determinism,
     metricscontract,
     obsgate,
     order,
-    parity,
     rules,
     seedflow,
     workersafety,
@@ -51,8 +47,6 @@ from .suppressions import Suppression, SuppressionIndex
 #: Module names the project-scope families anchor on.
 _ENGINE_MODULE = "repro.core.engine"
 _FASTPATH_MODULE = "repro.core.fastpath"
-_METRICS_MODULE = "repro.core.metrics"
-_CACHE_PACKAGE = "repro.cache"
 _SWEEP_MODULE = "repro.core.sweep"
 _SIMNET_MODULE = "repro.idicn.simnet"
 
@@ -171,38 +165,6 @@ def _resolve_anchor(
     return None
 
 
-def _resolve_cache_package(
-    files: dict[str, SourceFile],
-    sources: dict[str, str],
-) -> dict[str, tuple[str, ast.Module]]:
-    """The cache package's modules, by basename, for conformance rules."""
-    modules: dict[str, tuple[str, ast.Module]] = {}
-    cache_dir: Path | None = None
-    for source_file in files.values():
-        in_package = source_file.module == _CACHE_PACKAGE or (
-            source_file.module.startswith(_CACHE_PACKAGE + ".")
-        )
-        if in_package and source_file.tree is not None:
-            modules[source_file.path.stem] = (
-                source_file.display,
-                source_file.tree,
-            )
-            cache_dir = source_file.path.parent
-    if cache_dir is None:
-        anchor = _resolve_anchor(files, _CACHE_PACKAGE + ".base", sources)
-        if anchor is None:
-            return {}
-        cache_dir = anchor.path.parent
-    for path in sorted(cache_dir.glob("*.py")):
-        if path.stem in modules:
-            continue
-        loaded = _load(path)
-        if loaded.tree is not None:
-            modules[path.stem] = (loaded.display, loaded.tree)
-            sources[loaded.display] = loaded.source
-    return modules
-
-
 def _in_program(module: str) -> bool:
     """Whether a module belongs to the whole-program ``repro`` graph."""
     return module == "repro" or module.startswith("repro.")
@@ -254,24 +216,6 @@ def lint_paths(
 
     engine = _resolve_anchor(files, _ENGINE_MODULE, sources)
     fastpath = _resolve_anchor(files, _FASTPATH_MODULE, sources)
-    metrics = _resolve_anchor(files, _METRICS_MODULE, sources)
-    if (
-        engine is not None
-        and fastpath is not None
-        and metrics is not None
-        and engine.tree is not None
-        and fastpath.tree is not None
-        and metrics.tree is not None
-    ):
-        raw.extend(
-            parity.check_parity(
-                engine.display,
-                engine.tree,
-                fastpath.tree,
-                metrics.display,
-                metrics.tree,
-            )
-        )
     hot_modules = [
         (anchor.display, anchor.tree)
         for anchor in (engine, fastpath)
@@ -291,13 +235,9 @@ def lint_paths(
     if span_modules:
         raw.extend(obsgate.check_spangate(span_modules))
 
-    cache_modules = _resolve_cache_package(files, sources)
-    if cache_modules:
-        raw.extend(conformance.check_cache_conformance(cache_modules))
-
     # Whole-program families over every repro.* module plus anchors.
     program: dict[str, tuple[str, ast.Module]] = {}
-    anchors = (engine, fastpath, metrics, sweep, simnet)
+    anchors = (engine, fastpath, sweep, simnet)
     for source_file in list(collected) + [a for a in anchors if a is not None]:
         if source_file.tree is None or not _in_program(source_file.module):
             continue

@@ -98,17 +98,15 @@ class StreamingWorkload:
     call, so one workload can back multiple runs (baseline plus every
     architecture) just like a materialized one.
 
-    ``num_requests`` is ``None`` when the stream length is unknown up
-    front (e.g. a PoP-filtered shard built without counting); the
-    engines then require ``warmup_fraction == 0`` because the warmup
-    boundary is an absolute request index.
+    ``num_requests`` is the stream's total length; the engines place the
+    warmup boundary at an absolute request index derived from it.
     """
 
     num_objects: int
     sizes: np.ndarray
     origins: np.ndarray
     chunk_factory: Callable[[], Iterator[RequestChunk]] = field(repr=False)
-    num_requests: int | None = None
+    num_requests: int
 
     def chunks(self) -> Iterator[RequestChunk]:
         """A fresh pass over the request stream, block by block."""
@@ -285,7 +283,6 @@ def pop_shard(
     workload: StreamingWorkload,
     shard: int,
     num_shards: int,
-    count: bool = True,
 ) -> StreamingWorkload:
     """The sub-stream of requests arriving at PoPs of one shard.
 
@@ -293,20 +290,15 @@ def pop_shard(
     shard`` filtering), so the ``num_shards`` shards partition the
     parent stream exactly: additive counters (e.g. the no-cache
     baseline at ``warmup_fraction=0``) merge back to the whole-stream
-    run bit for bit.  With ``count`` the parent stream is consumed once
-    up front — O(chunk) memory — so the shard knows its length (and
-    therefore supports warmup); pass ``count=False`` to skip that pass
-    and leave ``num_requests`` unknown.
+    run bit for bit.  The parent stream is consumed once up front —
+    O(chunk) memory — so the shard knows its length (and therefore
+    supports warmup).
     """
     if not 0 <= shard < num_shards:
         raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
-    shard_requests: int | None = None
-    if count:
-        shard_requests = 0
-        for chunk in workload.chunks():
-            shard_requests += int(
-                np.count_nonzero(chunk.pops % num_shards == shard)
-            )
+    shard_requests = 0
+    for chunk in workload.chunks():
+        shard_requests += int(np.count_nonzero(chunk.pops % num_shards == shard))
 
     def factory() -> Iterator[RequestChunk]:
         for chunk in workload.chunks():

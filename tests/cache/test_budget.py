@@ -16,8 +16,9 @@ class TestTotalBudget:
         assert total_budget(0.05, 100, 1000) == pytest.approx(5000.0)
 
     def test_negative_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            total_budget(-0.1, 10, 10)
+        for fraction in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="fraction"):
+                total_budget(fraction, 10, 10)
 
     def test_paper_default_is_five_percent(self):
         assert DEFAULT_BUDGET_FRACTION == 0.05
@@ -34,6 +35,11 @@ class TestUniform:
         assert sum(budgets) == pytest.approx(
             total_budget(0.1, small_network.num_nodes, 500)
         )
+
+    def test_negative_fraction_rejected(self, small_network):
+        for fraction in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="fraction"):
+                uniform_node_budgets(small_network, fraction, 500)
 
 
 class TestProportional:

@@ -50,8 +50,9 @@ class TestBasics:
         assert "a" not in cache
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity=-1)
+        for capacity in (-1, float("nan")):
+            with pytest.raises(ValueError, match="capacity"):
+                LRUCache(capacity=capacity)
 
     def test_clear_keeps_counters(self):
         cache = LRUCache(capacity=4)

@@ -1,9 +1,14 @@
 """Property-based invariants shared by every bounded cache policy."""
 
+import importlib
+import inspect
+import pkgutil
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import FIFOCache, LFUCache, LRUCache, make_cache
+import repro.cache
+from repro.cache import Cache, FIFOCache, LFUCache, LRUCache, make_cache
 
 POLICIES = [LRUCache, LFUCache, FIFOCache]
 
@@ -93,3 +98,19 @@ def test_make_cache_dispatch(policy_name):
     cache = make_cache(policy_name, 3)
     cache.insert("x")
     assert "x" in cache
+
+
+def test_no_cache_policy_is_abstract():
+    """Every Cache subclass in the package implements the full interface."""
+    modules = [
+        importlib.import_module(f"repro.cache.{info.name}")
+        for info in pkgutil.iter_modules(repro.cache.__path__)
+    ]
+    policies = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, Cache)
+    } - {Cache}
+    assert set(repro.cache.POLICIES.values()) <= policies
+    assert sorted(c.__name__ for c in policies if inspect.isabstract(c)) == []

@@ -57,8 +57,9 @@ class TestValidation:
             Architecture("x", routing="anycast")
 
     def test_bad_multiplier(self):
-        with pytest.raises(ValueError):
-            Architecture("x", budget_multiplier=0)
+        for multiplier in (0, float("nan")):
+            with pytest.raises(ValueError, match="budget_multiplier"):
+                Architecture("x", budget_multiplier=multiplier)
 
     @pytest.mark.parametrize("routing", ["nr", "nr-global"])
     def test_cooperation_is_sp_only(self, routing):

@@ -7,10 +7,12 @@ from repro.core import CapacityModel, CapacityTracker
 
 class TestModel:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CapacityModel(per_window=0)
-        with pytest.raises(ValueError):
-            CapacityModel(per_window=1, window=0)
+        for per_window in (0, float("nan")):
+            with pytest.raises(ValueError, match="per_window"):
+                CapacityModel(per_window=per_window)
+        for window in (0, float("nan")):
+            with pytest.raises(ValueError, match="^window"):
+                CapacityModel(per_window=1, window=window)
 
 
 class TestTracker:

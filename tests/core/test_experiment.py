@@ -106,3 +106,9 @@ class TestRunExperiment:
         gap = performance_gap(config, ICN_NR, EDGE)
         full = run_experiment(config, (ICN_NR, EDGE)).gap()
         assert gap.latency == pytest.approx(full.latency)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_nan_budget_fraction_rejected(self, engine):
+        config = ExperimentConfig(**FAST, budget_fraction=float("nan"))
+        with pytest.raises(ValueError, match="fraction"):
+            run_experiment(config, (EDGE,), engine=engine)

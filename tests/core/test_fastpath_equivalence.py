@@ -11,15 +11,24 @@ replacement policy, plus the stateful corners: warm-up fractions,
 preloaded (and frozen) caches, failed nodes, the serving-capacity
 model, heterogeneous object sizes, non-unit latency models, and the
 alternative on-path insertion policies.
+
+The matrix can only sweep the knobs it knows about, so the engine
+contracts at the end assert the rest on the live objects: every
+``Simulator`` knob reaches the fast engine, every result field passes
+through the shared finalizer, and both cache registries offer the same
+policies with the interface the fast engine calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro.cache import POLICIES as REFERENCE_POLICIES
+from repro.cache.fast import _FAST_POLICIES, FastInfinite
 from repro.core import (
     BASELINE_ARCHITECTURES,
     EDGE_COOP,
@@ -36,7 +45,10 @@ from repro.core import (
     run_streamed_experiment,
     simulate_no_cache,
 )
+from repro.core.fastpath import FastEngine
 from repro.core.latency import hop_costs as build_hop_costs
+from repro.core.metrics import SimulationResult
+from repro.obs import Observer
 from repro.workload import generate_workload, stream_workload
 
 pytestmark = pytest.mark.fastpath
@@ -333,3 +345,90 @@ def test_run_experiment_end_to_end(results_identical):
     for name in ref.results:
         results_identical(ref.results[name], fast.results[name])
         assert ref.improvements[name] == fast.improvements[name]
+
+
+# ----------------------------------------------------------------------
+# Engine contracts on the live objects
+# ----------------------------------------------------------------------
+#: Each ``Simulator.__init__`` knob and the simulator attribute that
+#: carries it into a run.  ``engine`` is the dispatch knob itself.
+KNOB_ATTRIBUTES = {
+    "network": "network",
+    "architecture": "architecture",
+    "workload": "workload",
+    "budgets": "caches",
+    "policy": "policy",
+    "hop_costs": "costs",
+    "capacity": "_capacity",
+    "warmup_fraction": "warmup_fraction",
+    "preload": "_preload",
+    "frozen_caches": "frozen_caches",
+    "failed_nodes": "_failed",
+    "observer": "observer",
+}
+
+#: Methods the fast engine calls on every flat cache struct.
+FAST_STRUCT_METHODS = ("lookup", "insert", "__contains__", "__len__")
+
+
+class _RecordingSimulator:
+    """Forwards attribute reads to a simulator and records their names."""
+
+    def __init__(self, target):
+        self._target = target
+        self._reads = set()
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._target, name)
+
+
+def test_fast_engine_reads_every_simulator_knob(small_network, random_workload):
+    """A knob the fast engine never reads would silently split the engines."""
+    params = set(inspect.signature(Simulator.__init__).parameters)
+    assert params - {"self", "engine"} == set(KNOB_ATTRIBUTES)
+    workload = random_workload(small_network, 5, num_requests=300, num_objects=20)
+    sim = Simulator(
+        small_network, EDGE_COOP, workload, [2.0] * small_network.num_nodes,
+        capacity=CapacityModel(per_window=3, window=50),
+        warmup_fraction=0.2, observer=Observer(),
+    )
+    proxy = _RecordingSimulator(sim)
+    FastEngine(proxy).run()
+    unread = {
+        knob: attr
+        for knob, attr in KNOB_ATTRIBUTES.items()
+        if attr not in proxy._reads
+    }
+    assert not unread
+
+
+def test_from_counters_fills_every_result_field():
+    """Both engines finalize through from_counters; no field may default."""
+    passed = {}
+    signature = inspect.signature(SimulationResult)
+
+    class Capture(SimulationResult):
+        def __init__(self, *args, **kwargs):
+            passed.update(signature.bind(*args, **kwargs).arguments)
+
+    Capture.from_counters(
+        architecture="X", num_requests=0, total_latency=0.0,
+        link_transfers=[], origin_serves=[], cache_served=0, coop_served=0,
+    )
+    assert set(passed) == {field.name for field in fields(SimulationResult)}
+
+
+def test_every_policy_has_a_fast_twin():
+    assert set(REFERENCE_POLICIES) == set(_FAST_POLICIES)
+
+
+@pytest.mark.parametrize(
+    "struct", [*_FAST_POLICIES.values(), FastInfinite], ids=lambda s: s.__name__
+)
+def test_fast_struct_interface(struct):
+    missing = [
+        name for name in FAST_STRUCT_METHODS
+        if not callable(getattr(struct, name, None))
+    ]
+    assert not missing

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EDGE,
     ICN_SP,
     ExperimentConfig,
     SweepPoint,
     improvements,
     merge_sharded_results,
     run_experiment,
+    run_streamed_experiment,
     run_sweep,
     seeded_configs,
     shard_points,
@@ -273,6 +275,22 @@ def test_merged_shards_match_unsharded_run(results_identical):
     )
     with pytest.raises(ValueError, match="zero shard"):
         merge_sharded_results(point, [])
+
+
+def test_merge_rejects_a_shard_missing_an_architecture():
+    """A shard that ran a different line-up fails the merge in either order."""
+    config = ExperimentConfig(
+        topology="abilene", tree_depth=3, num_requests=4_000,
+        num_objects=300, warmup_fraction=0.0, seed=7,
+    )
+    point = SweepPoint(key="mixed", config=config, architectures=(EDGE, ICN_SP))
+    both = run_streamed_experiment(config, point.architectures, shard=(0, 2))
+    edge_only = run_streamed_experiment(config, (EDGE,), shard=(1, 2))
+    for shards, position in (([both, edge_only], 1), ([edge_only, both], 0)):
+        with pytest.raises(
+            ValueError, match=rf"shard result {position} .*missing \['ICN-SP'\]"
+        ):
+            merge_sharded_results(point, shards)
 
 
 def test_sharded_sweep_heartbeats_per_shard(tmp_path):

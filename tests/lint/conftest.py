@@ -1,10 +1,10 @@
 """Shared fixtures for the repro.lint test suite.
 
 Lint rules are package-scoped (determinism runs only inside
-``repro.core``/``repro.cache``/... and parity/order anchor on specific
-modules), so fixtures are written as miniature source trees under
-``tmp_path/src/repro/...`` — the runner maps them to the same dotted
-module names as the real package.
+``repro.core``/``repro.cache``/... and order/obs gating anchor on
+specific modules), so fixtures are written as miniature source trees
+under ``tmp_path/src/repro/...`` — the runner maps them to the same
+dotted module names as the real package.
 """
 
 from __future__ import annotations
@@ -40,117 +40,3 @@ def lint_tree(tmp_path):
         return lint_paths([tmp_path / "src"], **kwargs)
 
     return run
-
-
-#: A minimal engine/fastpath/metrics trio that is parity-clean: every
-#: Simulator knob taints a stored attribute the fast engine reads, and
-#: every SimulationResult field is produced by from_counters.
-PARITY_TRIO: dict[str, str] = {
-    "src/repro/core/engine.py": """\
-        class Simulator:
-            def __init__(self, topology, budgets, policy="lru",
-                         engine="reference"):
-                self.topology = topology
-                self.budgets = dict(budgets)
-                self.policy = policy
-                caches = {}
-                for node in topology:
-                    caches[node] = (policy, self.budgets[node])
-                self.caches = caches
-        """,
-    "src/repro/core/fastpath.py": """\
-        class FastEngine:
-            def __init__(self, sim):
-                self._sim = sim
-                self._order = list(sim.topology)
-                self._caches = dict(sim.caches)
-                self._policy = sim.policy
-
-            def run(self):
-                return self._sim.budgets
-        """,
-    "src/repro/core/metrics.py": """\
-        from dataclasses import dataclass
-
-
-        @dataclass(frozen=True)
-        class SimulationResult:
-            requests: int
-            hits: int
-            hit_rate: float
-
-            @classmethod
-            def from_counters(cls, requests, hits):
-                return cls(
-                    requests=requests,
-                    hits=hits,
-                    hit_rate=hits / max(requests, 1),
-                )
-        """,
-}
-
-
-#: A minimal, conformance-clean cache package: one policy registered in
-#: both POLICIES and _FAST_POLICIES, full interfaces on each side.
-CACHE_PACKAGE: dict[str, str] = {
-    "src/repro/cache/base.py": """\
-        import abc
-
-
-        class Cache(abc.ABC):
-            @abc.abstractmethod
-            def lookup(self, key):
-                ...
-
-            @abc.abstractmethod
-            def insert(self, key, size):
-                ...
-        """,
-    "src/repro/cache/lru.py": """\
-        from .base import Cache
-
-
-        class LRUCache(Cache):
-            def lookup(self, key):
-                return False
-
-            def insert(self, key, size):
-                return None
-        """,
-    "src/repro/cache/fast.py": """\
-        class FastLRU:
-            def lookup(self, key):
-                return False
-
-            def insert(self, key, size):
-                return None
-
-            def __contains__(self, key):
-                return False
-
-            def __len__(self):
-                return 0
-
-
-        class FastInfinite:
-            def lookup(self, key):
-                return True
-
-            def insert(self, key, size):
-                return None
-
-            def __contains__(self, key):
-                return True
-
-            def __len__(self):
-                return 0
-
-
-        _FAST_POLICIES = {"lru": FastLRU}
-        """,
-    "src/repro/cache/__init__.py": """\
-        from .lru import LRUCache
-
-        POLICIES = {"lru": LRUCache}
-        """,
-}

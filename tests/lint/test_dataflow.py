@@ -1,11 +1,10 @@
-"""Data-flow primitives: forward taint and backward origin resolution."""
+"""Data-flow primitives: backward origin resolution."""
 
 from __future__ import annotations
 
 import ast
-import textwrap
 
-from repro.lint.dataflow import OriginResolver, constructor_taint
+from repro.lint.dataflow import OriginResolver
 from repro.lint.graph import CallGraph, ModuleGraph
 
 from .test_graph import build_graph
@@ -23,38 +22,6 @@ def origins_of_name(graph, function_key, name):
         if isinstance(node, ast.Name) and node.id == name:
             return resolver.origins(function, node)
     raise AssertionError(f"no read of {name!r} in {function_key}")
-
-
-class TestConstructorTaint:
-    def test_seed_param_taints_attr_through_local_chain(self):
-        tree = ast.parse(
-            textwrap.dedent(
-                """\
-                def __init__(self, seed, size):
-                    base = seed + 1
-                    derived = base * 2
-                    self.rng_state = derived
-                    self.size = size
-                """
-            )
-        )
-        init = tree.body[0]
-        taint = constructor_taint(init, {"seed", "size"})
-        assert taint["rng_state"] == {"seed"}
-        assert taint["size"] == {"size"}
-
-    def test_loop_target_inherits_iterable_taint(self):
-        tree = ast.parse(
-            textwrap.dedent(
-                """\
-                def __init__(self, budgets):
-                    for b in budgets:
-                        self.total = b
-                """
-            )
-        )
-        taint = constructor_taint(tree.body[0], {"budgets"})
-        assert taint["total"] == {"budgets"}
 
 
 class TestOriginResolver:

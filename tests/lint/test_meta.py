@@ -2,8 +2,9 @@
 
 The acceptance contract for the lint subsystem is two-sided: the shipped
 tree must lint clean, and the regressions the linter exists to catch —
-re-importing stdlib ``random`` into the engine, adding a Simulator knob
-the fast engine ignores — must flip the exit code to non-zero.
+re-importing stdlib ``random`` into the engine, a literal reseed deep in
+a seeded chain, a worker writing a module global, an unregistered
+metric family — must flip the exit code to non-zero.
 """
 
 from __future__ import annotations
@@ -78,44 +79,6 @@ def test_reintroducing_stdlib_random_fails_the_lint(repo_copy):
     assert report.exit_code() == 1
 
 
-def test_unconsumed_simulator_knob_fails_the_lint(repo_copy):
-    engine = repo_copy / "core" / "engine.py"
-    source = engine.read_text(encoding="utf-8")
-    marker = 'engine: str = "reference",'
-    assert marker in source, "Simulator dispatch knob moved; update test"
-    engine.write_text(
-        source.replace(
-            marker, marker + "\n        mystery_knob: int = 0,", 1
-        ),
-        encoding="utf-8",
-    )
-    report = lint_paths([repo_copy])
-    ids = rule_ids(report)
-    assert "P201" in ids
-    assert any(
-        "mystery_knob" in d.message for d in report.diagnostics
-    )
-    assert report.exit_code() == 1
-
-
-def test_unwired_result_field_fails_the_lint(repo_copy):
-    metrics = repo_copy / "core" / "metrics.py"
-    source = metrics.read_text(encoding="utf-8")
-    marker = "class SimulationResult:"
-    assert marker in source
-    # Insert a new dataclass field that from_counters never produces.
-    lines = source.splitlines(keepends=True)
-    for index, line in enumerate(lines):
-        if marker in line:
-            docstring_end = index + 1
-            lines.insert(docstring_end, "    phantom_field: int = 0\n")
-            break
-    metrics.write_text("".join(lines), encoding="utf-8")
-    report = lint_paths([repo_copy])
-    assert "P202" in rule_ids(report)
-    assert report.exit_code() == 1
-
-
 def test_literal_reseed_deep_in_seeded_chain_fails_the_lint(repo_copy):
     # A helper that quietly re-seeds from a literal while its caller
     # threads an rng: invisible per-file (no rng param in the helper),
@@ -177,16 +140,4 @@ def test_unregistered_metric_family_fails_the_lint(repo_copy):
     )
     report = lint_paths([repo_copy])
     assert "M901" in rule_ids(report)
-    assert report.exit_code() == 1
-
-
-def test_dropping_a_fast_policy_fails_the_lint(repo_copy):
-    fast = repo_copy / "cache" / "fast.py"
-    source = fast.read_text(encoding="utf-8")
-    assert '"lru"' in source
-    fast.write_text(
-        source.replace('"lru": FastLRU,', "", 1), encoding="utf-8"
-    )
-    report = lint_paths([repo_copy])
-    assert "C302" in rule_ids(report)
     assert report.exit_code() == 1

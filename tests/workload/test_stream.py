@@ -260,10 +260,6 @@ class TestPopShard:
         assert shard.sizes is workload.sizes
         assert shard.origins is workload.origins
 
-    def test_uncounted_shard_has_unknown_length(self, network):
-        shard = pop_shard(self._streamed(network), 0, 2, count=False)
-        assert shard.num_requests is None
-
     def test_invalid_shard_rejected(self, network):
         workload = self._streamed(network)
         with pytest.raises(ValueError):
