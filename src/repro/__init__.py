@@ -18,6 +18,7 @@ from .core import (
     ExperimentConfig,
     ExperimentResult,
     Improvements,
+    NO_CACHE,
     SimulationResult,
     Simulator,
     run_experiment,
@@ -35,6 +36,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "Improvements",
+    "NO_CACHE",
     "Network",
     "PopTopology",
     "SimulationResult",

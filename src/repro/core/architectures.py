@@ -3,7 +3,8 @@
 An :class:`Architecture` fixes the three knobs the paper varies:
 
 * **cache placement** — which access-tree levels carry caches
-  (pervasive, edge-only, edge plus one level, ...);
+  (pervasive, edge-only, edge plus one level, ... or none at all: the
+  NO-CACHE baseline every improvement is measured against);
 * **request routing** — shortest path toward the origin vs.
   nearest-replica;
 * **cooperation** — optional scoped sibling lookup
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from ..topology.access_tree import AccessTree
 
-PLACEMENTS = ("pervasive", "edge", "two_levels")
+PLACEMENTS = ("pervasive", "edge", "two_levels", "none")
 #: "sp" walks the shortest path toward the origin; "nr" additionally
 #: serves from the nearest replica within the path's scope (each path
 #: node plus its siblings, in exact distance order); "nr-global" is a
@@ -80,6 +81,9 @@ class Architecture:
             raise ValueError(
                 f"cooperation applies to sp routing only, not {self.routing!r}"
             )
+        if self.normalize_budget and self.placement == "none":
+            # There is no cache to rescale to the pervasive total.
+            raise ValueError("normalize_budget needs a placement with caches")
         if not self.budget_multiplier > 0:  # NaN fails this too
             raise ValueError(
                 f"budget_multiplier must be > 0, got {self.budget_multiplier}"
@@ -98,6 +102,8 @@ class Architecture:
             return tuple(range(tree.depth + 1))
         if self.placement == "edge":
             return (tree.depth,)
+        if self.placement == "none":
+            return ()
         # two_levels: the edge and the level just above it.
         if tree.depth == 0:
             return (0,)
@@ -128,6 +134,9 @@ class Architecture:
 # The named designs used throughout the paper.
 # ---------------------------------------------------------------------------
 
+#: The normalization baseline: no caches, so the origin serves every
+#: request.
+NO_CACHE = Architecture("NO-CACHE", placement="none")
 #: Pervasive caching, shortest-path-to-origin routing.
 ICN_SP = Architecture("ICN-SP", placement="pervasive", routing="sp")
 #: Pervasive caching with (zero-cost) nearest-replica routing.
@@ -170,6 +179,7 @@ ICN_NR_INF = Architecture("ICN-NR-Inf", placement="pervasive", routing="nr",
 _REGISTRY = {
     arch.name: arch
     for arch in (
+        NO_CACHE,
         *BASELINE_ARCHITECTURES,
         *EDGE_VARIANTS,
         ICN_NR_GLOBAL,

@@ -16,19 +16,25 @@ request is (arrival PoP, arrival leaf, object); the engine
 
 Lookup/discovery is free for ICN designs, as the paper conservatively
 assumes.
+
+The no-cache baseline is the architecture with ``placement="none"``
+(:data:`~repro.core.architectures.NO_CACHE`) and runs through the same
+loop: with no cache to probe, the origin serves every request.  Having no
+state to warm, such a run skips its warmup prefix outright, and its
+trace header carries the routing label ``"origin"``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 import numpy as np
 
-from ..cache import Cache, InfiniteCache, make_cache
+from ..cache import POLICIES, Cache, InfiniteCache, make_cache
 from ..topology.network import HopCosts, Network
 from ..workload.generator import Workload
 from ..workload.stream import StreamingWorkload
-from .architectures import Architecture
+from .architectures import NO_CACHE, Architecture
 from .capacity import CapacityModel, CapacityTracker
 from .metrics import MetricsCollector, SimulationResult
 from .routing import ReplicaDirectory
@@ -60,6 +66,31 @@ def _stream_bounds(
     """
     num_requests = workload.num_requests
     return num_requests, int(warmup_fraction * num_requests)
+
+
+def _request_lists(
+    workload: Workload | StreamingWorkload, skip: int
+) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
+    """The request columns, chunk by chunk, as flat Python lists.
+
+    Yields ``(index of the first request, pops, leaves, objects)`` per
+    chunk, dropping every request before global index ``skip``; a chunk
+    wholly before ``skip`` is never converted.  Converting once per
+    chunk keeps per-request ``int(arr[i])`` extraction out of the
+    engines' loops and peak memory O(chunk) for streamed workloads.
+    """
+    start = 0
+    for chunk in workload.chunks():
+        end = start + len(chunk)
+        if end > skip:
+            cut = max(skip - start, 0)
+            yield (
+                start + cut,
+                chunk.pops[cut:].tolist(),
+                chunk.leaves[cut:].tolist(),
+                chunk.objects[cut:].tolist(),
+            )
+        start = end
 
 
 class Simulator:
@@ -116,6 +147,11 @@ class Simulator:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
+        if policy not in POLICIES:
+            # Checked here, not only where a finite cache is built.
+            raise ValueError(
+                f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
+            )
         if len(budgets) != network.num_nodes:
             raise ValueError("budgets must have one entry per network node")
         if not 0.0 <= warmup_fraction < 1.0:
@@ -137,6 +173,10 @@ class Simulator:
         self._tree_size = network.tree_size
         cache_locals = architecture.cache_locals(tree)
         self._cache_local_set = frozenset(cache_locals)
+        #: The design places no cache (the NO-CACHE baseline), so there
+        #: is no state to warm: both engines skip the warmup prefix, and
+        #: the trace header labels the routing "origin".
+        self._cacheless = not cache_locals
         multiplier = architecture.effective_multiplier(tree)
         self.caches: dict[int, Cache] = {}
         for pop in range(network.num_pops):
@@ -231,7 +271,7 @@ class Simulator:
         if observer is not None:
             rec = observer.start_run(
                 self.architecture.name,
-                self.architecture.routing,
+                "origin" if self._cacheless else self.architecture.routing,
                 network.num_nodes,
                 num_requests,
                 first_measured,
@@ -258,12 +298,10 @@ class Simulator:
         # The request stream arrives in chunks (a materialized workload
         # yields exactly one); `i` is the running global request index,
         # so warmup and trace sampling are chunk-boundary agnostic.
-        i = 0
-        for req_chunk in workload.chunks():
-            for pop, leaf_local, obj in zip(
-                req_chunk.pops.tolist(),
-                req_chunk.leaves.tolist(),
-                req_chunk.objects.tolist(),
+        skip = first_measured if self._cacheless else 0
+        for start, pops, leaves, objects in _request_lists(workload, skip):
+            for i, (pop, leaf_local, obj) in enumerate(
+                zip(pops, leaves, objects), start
             ):
                 origin_pop = int(origins[obj])
                 serving, served_origin_pop, coop, fallback = route(
@@ -331,7 +369,6 @@ class Simulator:
                                 and insert_rng.random() < insert_probability
                             ):
                                 insert(node, obj, size)
-                i += 1
         result = collector.result(self.architecture.name)
         if observer is not None and rec is not None:
             observer.finish_run(rec, result)
@@ -521,75 +558,8 @@ def simulate_no_cache(
     observer: "Observer | None" = None,
 ) -> SimulationResult:
     """The normalization baseline: every request is served by its origin."""
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    costs = hop_costs if hop_costs is not None else network.unit_hop_costs()
-    if engine == "fast":
-        from .fastpath import fast_no_cache
-
-        return fast_no_cache(
-            network, workload, costs, warmup_fraction, observer=observer
-        )
-    tree_size = network.tree_size
-    collector = MetricsCollector(network.num_links, network.num_pops)
-    sizes = workload.sizes
-    origins = workload.origins
-    num_requests, first_measured = _stream_bounds(workload, warmup_fraction)
-    rec = None
-    trace_wants: Callable[[int], bool] | None = None
-    trace_emit = None
-    if observer is not None:
-        rec = observer.start_run(
-            "NO-CACHE", "origin", network.num_nodes, num_requests, first_measured
-        )
-        if observer.tracer is not None:
-            trace_wants = observer.tracer.wants
-            trace_emit = observer.tracer.emit_request
-    i = 0
-    for req_chunk in workload.chunks():
-        n = len(req_chunk)
-        if i + n <= first_measured:
-            i += n  # the whole chunk is warmup: skip it wholesale
-            continue
-        for pop, leaf_local, obj in zip(
-            req_chunk.pops.tolist(),
-            req_chunk.leaves.tolist(),
-            req_chunk.objects.tolist(),
-        ):
-            if i < first_measured:
-                i += 1
-                continue
-            origin_pop = int(origins[obj])
-            leaf_gid = pop * tree_size + leaf_local
-            origin_root = origin_pop * tree_size
-            cost = network.path_cost(origin_root, leaf_gid, costs)
-            collector.record(
-                cost,
-                network.path_links(origin_root, leaf_gid),
-                sizes[obj],
-                origin_pop,
-                False,
-            )
-            if rec is not None:
-                rec.serves[origin_root] += 1
-                if trace_wants is not None and trace_wants(i):
-                    assert trace_emit is not None
-                    trace_emit(
-                        i,
-                        pop,
-                        leaf_local,
-                        obj,
-                        origin_root,
-                        origin_pop,
-                        cost,
-                        float(sizes[obj]),
-                        False,
-                        False,
-                    )
-            i += 1
-    result = collector.result("NO-CACHE")
-    if observer is not None and rec is not None:
-        observer.finish_run(rec, result)
-    return result
+    return Simulator(
+        network, NO_CACHE, workload, [0.0] * network.num_nodes,
+        hop_costs=hop_costs, warmup_fraction=warmup_fraction,
+        engine=engine, observer=observer,
+    ).run()

@@ -32,9 +32,9 @@ from ..workload.stream import (
     pop_shard,
     stream_workload,
 )
-from .architectures import Architecture, BASELINE_ARCHITECTURES
+from .architectures import NO_CACHE, Architecture, BASELINE_ARCHITECTURES
 from .capacity import CapacityModel
-from .engine import Simulator, simulate_no_cache
+from .engine import Simulator
 from .latency import hop_costs as build_hop_costs
 from .metrics import Improvements, SimulationResult, gap, improvements
 
@@ -170,7 +170,9 @@ def _run_architectures(
 
     Both the materialized (:func:`run_experiment`) and streamed
     (:func:`run_streamed_experiment`) fronts funnel through here, so
-    the two paths cannot drift apart in how runs are wired.
+    the two paths cannot drift apart in how runs are wired.  The
+    baseline is the :data:`~repro.core.architectures.NO_CACHE` design,
+    run like any other.
     """
     costs = build_hop_costs(
         network, config.latency_model, config.core_latency_factor
@@ -178,18 +180,9 @@ def _run_architectures(
     budgets = node_budgets(
         network, config.budget_fraction, config.num_objects, config.budget_split
     )
-    baseline = simulate_no_cache(
-        network,
-        workload,
-        costs,
-        warmup_fraction=config.warmup_fraction,
-        engine=engine,
-        observer=observer,
-    )
-    results: dict[str, SimulationResult] = {}
-    improved: dict[str, Improvements] = {}
-    for architecture in architectures:
-        simulator = Simulator(
+
+    def run(architecture: Architecture) -> SimulationResult:
+        return Simulator(
             network,
             architecture,
             workload,
@@ -200,10 +193,13 @@ def _run_architectures(
             warmup_fraction=config.warmup_fraction,
             engine=engine,
             observer=observer,
-        )
-        result = simulator.run()
-        results[architecture.name] = result
-        improved[architecture.name] = improvements(result, baseline)
+        ).run()
+
+    baseline = run(NO_CACHE)
+    results = {architecture.name: run(architecture) for architecture in architectures}
+    improved = {
+        name: improvements(result, baseline) for name, result in results.items()
+    }
     return ExperimentResult(
         config=config, baseline=baseline, results=results, improvements=improved
     )

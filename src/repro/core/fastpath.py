@@ -16,7 +16,9 @@ CPython spends its time on arithmetic instead of attribute lookups:
   nearest-replica routing run one walk over per-(own-origin, leaf)
   tables of the cache-enabled tree nodes to probe, each with its
   cooperating siblings, then over the network's transit PoP roots; only
-  the global nearest-replica oracle keeps its own branch;
+  the global nearest-replica oracle keeps its own branch, and a design
+  that places no cache (the NO-CACHE baseline) builds no tables and
+  sends every request straight to its origin;
 * per-``(serving node, leaf)`` latency, response-path link ids, and
   insertable cache nodes are computed once per run through the reference
   :class:`~repro.topology.network.Network` oracles and memoized — so
@@ -50,18 +52,14 @@ import numpy as np
 
 from ..cache import InfiniteCache
 from ..cache.fast import FastInfinite, make_fast_cache
-from ..topology.network import HopCosts, Network
-from ..workload.generator import Workload
-from ..workload.stream import StreamingWorkload
-from .engine import _INSERT_SEED, _stream_bounds
+from .engine import _INSERT_SEED, _request_lists, _stream_bounds
 from .metrics import SimulationResult
 from .routing import ReplicaDirectory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..obs.sink import Observer
     from .engine import Simulator
 
-__all__ = ["FastEngine", "fast_no_cache"]
+__all__ = ["FastEngine"]
 
 
 class FastEngine:
@@ -158,9 +156,10 @@ class FastEngine:
         # origin is the arrival PoP the walk stops short of the origin
         # store at the root: sp drops the root, nr cuts its scope where
         # the root is at least as close.  Cooperation is sp-only (see
-        # Architecture), so nr's sibling tuples are all empty.
+        # Architecture), so nr's sibling tuples are all empty.  A design
+        # without caches has nothing to probe and gets no tables.
         self._walks: tuple | None = None
-        if arch.routing != "nr-global":
+        if arch.routing != "nr-global" and not sim._cacheless:
             if arch.routing == "sp":
                 per_leaf = [(chain, chain[:-1]) for chain in network._chain]
             else:
@@ -201,14 +200,17 @@ class FastEngine:
         bit.  Insertables are the response path's nodes after the serving
         one that are set in the run's ``_insertable`` bitmap (cache-enabled
         and not failed), in response-path order: the exact sequence the
-        reference insertion loop, and its probabilistic RNG, visits.
+        reference insertion loop, and its probabilistic RNG, visits.  A
+        design without caches has none, so it skips the node sequence.
         """
         network = self._network
         insertable = self._insertable
         cost = network.path_cost(serving, leaf_gid, self._costs)
         links = tuple(network.path_links(serving, leaf_gid))
-        nodes = network.path_nodes(serving, leaf_gid)
-        inserts = tuple([node for node in nodes[1:] if insertable[node]])
+        inserts: tuple[int, ...] = ()
+        if not self._sim._cacheless:
+            nodes = network.path_nodes(serving, leaf_gid)
+            inserts = tuple([node for node in nodes[1:] if insertable[node]])
         entry = (cost, links, inserts)
         self._path_entries[serving * network.num_nodes + leaf_gid] = entry
         return entry
@@ -297,7 +299,11 @@ class FastEngine:
         observing = False
         if observer is not None:
             rec = observer.start_run(
-                arch.name, arch.routing, num_nodes, num_requests, first_measured
+                arch.name,
+                "origin" if sim._cacheless else arch.routing,
+                num_nodes,
+                num_requests,
+                first_measured,
             )
             self._rec = rec
             rec_serves = rec.serves
@@ -316,13 +322,11 @@ class FastEngine:
         link_transfers = [0.0] * network.num_links
         origin_serves = [0.0] * num_pops
 
-        i = -1  # running global request index across chunks
-        for req_chunk in workload.chunks():
-            cpops = req_chunk.pops.tolist()
-            cleaves = req_chunk.leaves.tolist()
-            cobjects = req_chunk.objects.tolist()
+        # ``i`` is the running global request index across chunks.
+        skip = first_measured if sim._cacheless else 0
+        for start, cpops, cleaves, cobjects in _request_lists(workload, skip):
             for i, (pop, leaf_local, obj) in enumerate(
-                zip(cpops, cleaves, cobjects), start=i + 1
+                zip(cpops, cleaves, cobjects), start
             ):
                 origin_pop = origins[obj]
                 base = pop * ts
@@ -372,7 +376,7 @@ class FastEngine:
                                 if cap is None or cap.try_serve(node, i):
                                     serving = node
                                     break
-                else:  # nr-global oracle
+                elif directory is not None:  # nr-global oracle
                     origin_dist = depth[leaf_local] + core_dist[pop][origin_pop]
                     # Replicas beyond the origin can never serve (ties
                     # prefer the replica: same latency, less origin load),
@@ -487,103 +491,3 @@ class FastEngine:
             self._rec = None
             observer.finish_run(rec, result)
         return result
-
-
-def fast_no_cache(
-    network: Network,
-    workload: Workload | StreamingWorkload,
-    costs: HopCosts,
-    warmup_fraction: float,
-    observer: "Observer | None" = None,
-) -> SimulationResult:
-    """Flat-state twin of :func:`repro.core.engine.simulate_no_cache`."""
-    ts = network.tree_size
-    num_nodes = network.num_nodes
-    sizes = workload.sizes.tolist()
-    origins = workload.origins.tolist()
-    num_requests, first_measured = _stream_bounds(workload, warmup_fraction)
-
-    measured = 0
-    total_latency = 0.0
-    link_transfers = [0.0] * network.num_links
-    origin_serves = [0.0] * network.num_pops
-    path_entries: dict[int, tuple[float, tuple[int, ...]]] = {}
-    path_cost = network.path_cost
-    path_links = network.path_links
-
-    rec = None
-    rec_serves = None
-    trace_wants = None
-    trace_emit = None
-    observing = False
-    if observer is not None:
-        rec = observer.start_run(
-            "NO-CACHE", "origin", num_nodes, num_requests, first_measured
-        )
-        rec_serves = rec.serves
-        observing = True
-        if observer.tracer is not None:
-            trace_wants = observer.tracer.wants
-            trace_emit = observer.tracer.emit_request
-
-    i = 0
-    for req_chunk in workload.chunks():
-        n = len(req_chunk)
-        if i + n <= first_measured:
-            i += n  # the whole chunk is warmup: skip it wholesale
-            continue
-        for pop, leaf_local, obj in zip(
-            req_chunk.pops.tolist(),
-            req_chunk.leaves.tolist(),
-            req_chunk.objects.tolist(),
-        ):
-            if i < first_measured:
-                i += 1
-                continue
-            origin_pop = origins[obj]
-            leaf_gid = pop * ts + leaf_local
-            origin_root = origin_pop * ts
-            key = origin_root * num_nodes + leaf_gid
-            entry = path_entries.get(key)
-            if entry is None:
-                entry = (
-                    path_cost(origin_root, leaf_gid, costs),
-                    tuple(path_links(origin_root, leaf_gid)),
-                )
-                path_entries[key] = entry
-            cost, links = entry
-            measured += 1
-            total_latency += cost
-            size = sizes[obj]
-            for link in links:
-                link_transfers[link] += size
-            origin_serves[origin_pop] += 1
-            if observing:
-                rec_serves[origin_root] += 1
-                if trace_wants is not None and trace_wants(i):
-                    trace_emit(
-                        i,
-                        pop,
-                        leaf_local,
-                        obj,
-                        origin_root,
-                        origin_pop,
-                        cost,
-                        float(size),
-                        False,
-                        False,
-                    )
-            i += 1
-
-    result = SimulationResult.from_counters(
-        architecture="NO-CACHE",
-        num_requests=measured,
-        total_latency=total_latency,
-        link_transfers=link_transfers,
-        origin_serves=origin_serves,
-        cache_served=0,
-        coop_served=0,
-    )
-    if observer is not None and rec is not None:
-        observer.finish_run(rec, result)
-    return result

@@ -13,6 +13,7 @@ from repro.core import (
     ICN_NR,
     ICN_NR_GLOBAL,
     ICN_SP,
+    NO_CACHE,
     Architecture,
     architecture,
 )
@@ -67,6 +68,10 @@ class TestValidation:
             Architecture("x", routing=routing, cooperation=True)
         Architecture("x", routing="sp", cooperation=True)
 
+    def test_normalization_needs_caches(self):
+        with pytest.raises(ValueError, match="normalize_budget"):
+            Architecture("x", placement="none", normalize_budget=True)
+
     def test_every_registered_design_constructs(self):
         for arch in _REGISTRY.values():
             assert replace(arch) == arch
@@ -94,6 +99,10 @@ class TestPlacement:
     def test_two_levels_degenerates_on_single_node_tree(self):
         tree = AccessTree(2, 0)
         assert architecture("2-Levels").cache_depths(tree) == (0,)
+
+    def test_no_cache_places_nothing(self):
+        assert architecture("NO-CACHE") is NO_CACHE
+        assert NO_CACHE.cache_locals(AccessTree(2, 5)) == []
 
 
 class TestBudgetMultipliers:

@@ -6,9 +6,11 @@ import pytest
 from repro.core import (
     EDGE,
     EDGE_COOP,
+    EDGE_INF,
     ICN_NR,
     ICN_NR_GLOBAL,
     ICN_SP,
+    NO_CACHE,
     Architecture,
     CapacityModel,
     Simulator,
@@ -215,6 +217,26 @@ class TestSizesAndWarmup:
         workload = make_workload([(0, 3, 0)], origins=[3])
         with pytest.raises(ValueError):
             Simulator(small_network, EDGE, workload, budgets=[1.0])
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("case", ["EDGE-Inf", "NO-CACHE", "EDGE-all-failed"])
+    def test_unknown_policy_rejected_without_finite_caches(
+        self, small_network, engine, case
+    ):
+        """The policy is checked even when no finite cache gets built."""
+        workload = make_workload([(0, 3, 0), (1, 4, 0)], origins=[3])
+        arch, failed = {
+            "EDGE-Inf": (EDGE_INF, ()),
+            "NO-CACHE": (NO_CACHE, ()),
+            "EDGE-all-failed": (EDGE, [
+                small_network.gid(pop, leaf)
+                for pop in range(small_network.num_pops)
+                for leaf in small_network.tree.leaves
+            ]),
+        }[case]
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            run(small_network, arch, workload, policy="bogus",
+                failed_nodes=failed, engine=engine)
 
 
 class TestNoCacheBaseline:

@@ -16,6 +16,7 @@ Three pins:
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from repro.cache.budget import node_budgets
 from repro.core import (
     BASELINE_ARCHITECTURES,
+    EDGE,
     ICN_NR_GLOBAL,
     CapacityModel,
     ExperimentConfig,
@@ -140,6 +142,35 @@ class TestTraceDeterminism:
         assert b'"coop":true' in ref_trace
         assert ref_trace == fast_trace
         assert ref_registry == fast_registry
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_no_cache_traces_only_measured_requests(self, tmp_path, engine):
+        """The baseline has no state to warm, so it skips its warmup.
+
+        Its header keeps the routing label "origin", and only a cached
+        design's records include the warmup requests.
+        """
+        path = tmp_path / "trace.jsonl"
+        with TraceWriter(path, TraceSampler(rate=1.0, seed=0)) as tracer:
+            run_experiment(
+                _config().with_(warmup_fraction=0.25), (EDGE,),
+                engine=engine, observer=Observer(tracer=tracer),
+            )
+        runs = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["kind"] == "header":
+                indices = []
+                runs[record["architecture"]] = (record, indices)
+            else:
+                indices.append(record["i"])
+        header, indices = runs["NO-CACHE"]
+        assert header["routing"] == "origin"
+        assert indices == list(
+            range(header["first_measured"], header["requests"])
+        )
+        header, indices = runs["EDGE"]
+        assert indices == list(range(header["requests"]))
 
 
 class TestObserverCoverage:
