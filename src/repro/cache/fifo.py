@@ -35,11 +35,18 @@ class FIFOCache(Cache):
                 victim, victim_size = self._entries.popitem(last=False)
                 self._used -= victim_size
                 evicted.append(victim)
+                if not self._entries:
+                    # Drop the float residue of the size change.
+                    self._used = 0.0
             return evicted
         if size > self.capacity:
             return []
         evicted = []
         while self._used + size > self.capacity:
+            if not self._entries:
+                # Only float residue of an earlier size change is left.
+                self._used = 0.0
+                break
             victim, victim_size = self._entries.popitem(last=False)
             self._used -= victim_size
             evicted.append(victim)

@@ -37,11 +37,15 @@ class LFUCache(Cache):
             self._used += size - self._size[obj]
             self._size[obj] = size
             self._bump(obj)
-            return self._shrink(exclude=obj)
+            return self._shrink()
         if size > self.capacity:
             return []
         evicted = []
         while self._used + size > self.capacity:
+            if not self._size:
+                # Only float residue of an earlier size change is left.
+                self._used = 0.0
+                break
             evicted.append(self._evict_one())
         self._size[obj] = size
         self._freq[obj] = 1
@@ -74,10 +78,14 @@ class LFUCache(Cache):
             self._min_freq = min(self._buckets)
         return victim
 
-    def _shrink(self, exclude: Hashable) -> list[Hashable]:
+    def _shrink(self) -> list[Hashable]:
+        """Evict after a re-insert grew an object; it may evict itself."""
         evicted = []
         while self._used > self.capacity:
             evicted.append(self._evict_one())
+            if not self._size:
+                # Drop the float residue of the size change.
+                self._used = 0.0
         return evicted
 
     def __contains__(self, obj: Hashable) -> bool:

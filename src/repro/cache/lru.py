@@ -39,11 +39,15 @@ class LRUCache(Cache):
             self._used += size - self._entries[obj]
             self._entries[obj] = size
             self._entries.move_to_end(obj)
-            return self._evict_to_fit(exclude=obj)
+            return self._evict_to_fit()
         if size > self.capacity:
             return []
         evicted = []
         while self._used + size > self.capacity:
+            if not self._entries:
+                # Only float residue of an earlier size change is left.
+                self._used = 0.0
+                break
             victim, victim_size = self._entries.popitem(last=False)
             self._used -= victim_size
             evicted.append(victim)
@@ -51,15 +55,16 @@ class LRUCache(Cache):
         self._used += size
         return evicted
 
-    def _evict_to_fit(self, exclude: Hashable) -> list[Hashable]:
+    def _evict_to_fit(self) -> list[Hashable]:
+        """Evict after a re-insert grew an object; it may evict itself."""
         evicted = []
         while self._used > self.capacity:
             victim = next(iter(self._entries))
-            if victim == exclude:
-                # The grown object itself no longer fits; drop it.
-                pass
             self._used -= self._entries.pop(victim)
             evicted.append(victim)
+            if not self._entries:
+                # Drop the float residue of the size change.
+                self._used = 0.0
         return evicted
 
     def __contains__(self, obj: Hashable) -> bool:

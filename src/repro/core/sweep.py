@@ -704,8 +704,6 @@ def run_sweep(
         spans.close(sweep_span)
     retried = sum(1 for count in attempts.values() if count > 1)
     if observer is not None:
-        from ..obs.profiling import PHASE_METRIC
-
         registry = observer.registry
         registry.counter("repro_sweep_points_total").inc(float(len(points)))
         registry.counter("repro_sweep_points_completed").inc(
@@ -722,7 +720,7 @@ def run_sweep(
             float(sum(attempts.values()))
         )
         registry.gauge(
-            PHASE_METRIC,
+            "repro_phase_seconds",
             help="wall-clock seconds spent per named phase",
             phase="sweep",
         ).add(time.perf_counter() - sweep_start)

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, trace records, profiling hooks.
+"""Observability: metrics registry, request traces, spans, heartbeats.
 
 ``repro.obs`` is the cross-cutting observability layer.  It is
 strictly *optional*: every producer in the simulator takes its sink as
@@ -7,29 +7,30 @@ exact pre-observability instruction stream (lint rule ``O501`` pins
 this for the engine hot loops; the obs-parity tests pin it bit-exactly
 for whole simulations).
 
-The pieces:
+Each export format has one definition, its writer, and is checked by
+reading a file back through the writer's module:
 
 * :class:`MetricsRegistry` — counters / gauges / histograms with
-  deterministic JSON-snapshot and Prometheus text exports;
+  deterministic JSON-snapshot and Prometheus text exports, read back
+  by :meth:`MetricsRegistry.from_json` and
+  :meth:`MetricsRegistry.check_prometheus`;
 * :class:`TraceSampler` / :class:`TraceWriter` — reproducible sampled
-  per-request JSONL traces (content-addressed sampling);
-* :class:`PhaseTimer` / :class:`SimClockTimer` — wall-clock phase and
-  simulated-clock span timers;
+  per-request JSONL traces (content-addressed sampling), read back by
+  :func:`read_request_trace`;
 * :class:`Observer` / :class:`RunRecorder` — the engine-facing sink;
 * :class:`SpanTracker` / :class:`Span` — hierarchical deterministic
   spans (run → sweep → chunk → point → phase) with canonical JSONL
-  export and worker-record merging;
+  export and worker-record adoption, read back by :func:`read_spans`;
 * :class:`ProgressReporter` — atomically-rewritten live heartbeat
-  files, rendered by ``python -m repro.obs watch``;
+  files, read by :func:`read_heartbeat` and rendered by
+  ``python -m repro.obs watch``;
 * :mod:`repro.obs.benchdiff` — the bench regression gate behind
   ``python -m repro.obs bench-diff``;
-* :mod:`repro.obs.schema` — validators for all export formats;
 * ``python -m repro.obs`` — the ``report`` / ``smoke`` /
   ``sweep-smoke`` / ``watch`` / ``bench-diff`` CLI.
 """
 
 from .benchdiff import MetricDelta, diff_reports, run_bench_diff
-from .profiling import PHASE_METRIC, SIM_SPAN_METRIC, PhaseTimer, SimClockTimer
 from .progress import (
     PROGRESS_SCHEMA,
     ProgressReporter,
@@ -44,28 +45,9 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .schema import (
-    SchemaError,
-    SpanStats,
-    TraceStats,
-    validate_heartbeat,
-    validate_prometheus_text,
-    validate_registry_snapshot,
-    validate_span_file,
-    validate_span_record,
-    validate_trace_file,
-    validate_trace_record,
-)
 from .sink import Observer, RunRecorder
-from .spans import (
-    SPAN_KINDS,
-    SPAN_SCHEMA,
-    Span,
-    SpanTracker,
-    merge_span_records,
-    span_id,
-)
-from .trace import TRACE_VERSION, TraceSampler, TraceWriter
+from .spans import SPAN_KINDS, SPAN_SCHEMA, Span, SpanTracker, read_spans, span_id
+from .trace import TRACE_VERSION, TraceSampler, TraceWriter, read_request_trace
 
 __all__ = [
     "Counter",
@@ -75,35 +57,22 @@ __all__ = [
     "MetricDelta",
     "MetricsRegistry",
     "Observer",
-    "PHASE_METRIC",
     "PROGRESS_SCHEMA",
-    "PhaseTimer",
     "ProgressReporter",
     "REGISTRY_SCHEMA",
     "RunRecorder",
-    "SIM_SPAN_METRIC",
     "SPAN_KINDS",
     "SPAN_SCHEMA",
-    "SchemaError",
-    "SimClockTimer",
     "Span",
-    "SpanStats",
     "SpanTracker",
     "TRACE_VERSION",
     "TraceSampler",
-    "TraceStats",
     "TraceWriter",
     "diff_reports",
-    "merge_span_records",
     "read_heartbeat",
+    "read_request_trace",
+    "read_spans",
     "render_heartbeat",
     "run_bench_diff",
     "span_id",
-    "validate_heartbeat",
-    "validate_prometheus_text",
-    "validate_registry_snapshot",
-    "validate_span_file",
-    "validate_span_record",
-    "validate_trace_file",
-    "validate_trace_record",
 ]

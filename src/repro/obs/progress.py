@@ -9,8 +9,10 @@ watch``, a dashboard, a shell loop) never sees a torn write.
 The heartbeat carries the sweep's control-plane state: points done /
 failed / in flight / retried, the merged counter totals from the
 sharded registries, wall-clock elapsed, and a naive rate-based ETA.  It
-is versioned (:data:`PROGRESS_SCHEMA`) and validated by
-:func:`repro.obs.schema.validate_heartbeat`.
+is versioned (:data:`PROGRESS_SCHEMA`).  :meth:`ProgressReporter.snapshot`
+defines the payload, and :func:`read_heartbeat`, which reads a file
+another process writes, checks the schema tag, the key set and the
+point counts before anything renders it.
 
 The zero-overhead contract applies as everywhere in ``repro.obs``:
 ``progress=None`` (the default everywhere a reporter is accepted) must
@@ -30,6 +32,14 @@ from typing import Callable, Mapping
 
 #: Version tag of the heartbeat schema (bump on breaking field changes).
 PROGRESS_SCHEMA = "repro.obs/progress/v1"
+
+#: The point counts a heartbeat carries, in :meth:`snapshot` order.
+_POINT_COUNTS = ("total", "done", "failed", "in_flight", "retried")
+
+#: Every key :meth:`ProgressReporter.snapshot` writes.
+_KEYS = frozenset(
+    {"schema", *_POINT_COUNTS, "elapsed_seconds", "eta_seconds", "counters"}
+)
 
 
 class ProgressReporter:
@@ -140,12 +150,32 @@ class ProgressReporter:
 
 
 def read_heartbeat(path: str | Path) -> dict[str, object]:
-    """Load and schema-check one heartbeat file."""
-    from .schema import validate_heartbeat
+    """Load one heartbeat file and check what a reader relies on.
 
+    The schema tag, exactly :meth:`ProgressReporter.snapshot`'s keys,
+    non-negative integer point counts, and ``done + failed <= total``;
+    anything else raises ``ValueError`` naming the field.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    validate_heartbeat(payload)
+    if not isinstance(payload, dict):
+        raise ValueError("heartbeat: not a JSON object")
+    if payload.get("schema") != PROGRESS_SCHEMA:
+        raise ValueError(
+            f"heartbeat: schema {payload.get('schema')!r} != "
+            f"{PROGRESS_SCHEMA!r}"
+        )
+    if set(payload) != _KEYS:
+        raise ValueError(
+            f"heartbeat: missing fields {sorted(_KEYS - set(payload))}, "
+            f"unexpected fields {sorted(set(payload) - _KEYS)}"
+        )
+    for field in _POINT_COUNTS:
+        value = payload[field]
+        if type(value) is not int or value < 0:
+            raise ValueError(f"heartbeat: {field} must be a non-negative int")
+    if payload["done"] + payload["failed"] > payload["total"]:
+        raise ValueError("heartbeat: done + failed exceeds total")
     return payload
 
 

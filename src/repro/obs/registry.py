@@ -15,6 +15,10 @@ a label set — and export in two formats:
   exposition format (``# HELP`` / ``# TYPE`` / sample lines), also in
   deterministic order.
 
+These two methods are the only definition of their formats, and
+:meth:`MetricsRegistry.from_json` and
+:meth:`MetricsRegistry.check_prometheus` read them back.
+
 Instrumentation cost when *no* registry is attached is zero: every
 producer gates its writes behind a ``None`` check on the sink (the
 contract rule ``O501`` enforces in the engine hot loops).
@@ -26,6 +30,7 @@ import json
 import math
 import re
 from bisect import bisect_left
+from itertools import zip_longest
 from typing import Iterable, Mapping
 
 #: Version tag of the snapshot schema (bump on breaking field changes).
@@ -394,6 +399,28 @@ class MetricsRegistry:
                     sample.count += int(entry["count"])
         return registry
 
+    @classmethod
+    def from_json(cls, text: str) -> "MetricsRegistry":
+        """Read back a snapshot document (``registry.json`` and kin).
+
+        The document is valid when the registry it rebuilds snapshots
+        to the same document, compared as canonical JSON so that a NaN
+        gauge compares equal.  Names and labels pass registration's
+        checks; out-of-order or duplicate families, empty sample lists
+        and stray or mistyped fields fail to re-serialize.  Any
+        malformed document raises ``ValueError`` naming the field.
+        """
+        document = json.loads(text)
+        try:
+            registry = cls.from_snapshot(document)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed registry snapshot: {exc!r}") from exc
+        rebuilt = registry.snapshot()
+        if _canonical(rebuilt) != _canonical(document):
+            where = _first_difference(document, rebuilt, "snapshot")
+            raise ValueError(f"{where} does not re-serialize to itself")
+        return registry
+
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
@@ -472,6 +499,39 @@ class MetricsRegistry:
                         f"{_format_value(sample.value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
+
+    def check_prometheus(self, text: str) -> None:
+        """Check ``text`` is exactly :meth:`to_prometheus`'s output.
+
+        Raises ``ValueError`` naming the first line that differs.
+        """
+        expected = self.to_prometheus().splitlines(keepends=True)
+        for lineno, (got, want) in enumerate(
+            zip_longest(text.splitlines(keepends=True), expected), start=1
+        ):
+            if got != want:
+                raise ValueError(
+                    f"line {lineno}: {got!r} is not the exported {want!r}"
+                )
+
+
+def _canonical(document: object) -> str:
+    return json.dumps(document, sort_keys=True)
+
+
+def _first_difference(got: object, want: object, where: str) -> str:
+    """The path of the first field where ``got`` and ``want`` differ."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(set(got) | set(want)):
+            if _canonical(got.get(key)) != _canonical(want.get(key)):
+                return _first_difference(
+                    got.get(key), want.get(key), f"{where}.{key}"
+                )
+    if isinstance(got, list) and isinstance(want, list):
+        for index, (mine, theirs) in enumerate(zip(got, want)):
+            if _canonical(mine) != _canonical(theirs):
+                return _first_difference(mine, theirs, f"{where}[{index}]")
+    return where
 
 
 def _render_labels(pairs: list[tuple[str, str]]) -> str:

@@ -9,17 +9,17 @@ Five subcommands:
     ``trace.jsonl`` (the layout ``smoke`` writes).
 
 ``smoke``
-    Run a small fully-traced experiment (sample rate 1.0 by default)
-    and write the three export artifacts — ``registry.json``,
-    ``metrics.prom``, ``trace.jsonl`` — into ``--out``.  This is what
-    the CI observability job runs before validating the exports with
-    ``tests/obs/check_exports.py``.
+    Run a small fully-traced experiment (sample rate 1.0 by default),
+    write the three export artifacts — ``registry.json``,
+    ``metrics.prom``, ``trace.jsonl`` — into ``--out``, and read each
+    back through its writer's module.  The CI observability job runs
+    this, then ``tests/obs/check_exports.py`` on the output.
 
 ``sweep-smoke``
-    Run a small observed parallel sweep and write the sweep-scale
+    Run a small observed parallel sweep, write the sweep-scale
     artifacts — merged ``registry.json`` (plus the wall-clock-stripped
     ``registry.deterministic.json``), merged ``spans.jsonl``, and the
-    final ``heartbeat.json`` — into ``--out``, validating each.  The
+    final ``heartbeat.json`` — into ``--out``, and read each back.  The
     CI ``obs-progress`` job runs this.
 
 ``watch``
@@ -44,23 +44,9 @@ from typing import Sequence
 from .benchdiff import DEFAULT_MIN_SECONDS, run_bench_diff
 from .progress import ProgressReporter, read_heartbeat, render_heartbeat
 from .registry import MetricsRegistry
-from .schema import (
-    validate_heartbeat,
-    validate_prometheus_text,
-    validate_registry_snapshot,
-    validate_span_file,
-    validate_trace_file,
-)
 from .sink import Observer
-from .spans import SpanTracker
-from .trace import TraceSampler, TraceWriter
-
-
-def _load_snapshot(path: Path) -> dict[str, object]:
-    with open(path, encoding="utf-8") as fh:
-        snapshot = json.load(fh)
-    validate_registry_snapshot(snapshot)
-    return snapshot
+from .spans import SpanTracker, read_spans
+from .trace import TraceSampler, TraceWriter, read_request_trace
 
 
 def render_snapshot(snapshot: dict[str, object]) -> str:
@@ -97,13 +83,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         candidate = target / "trace.jsonl"
         if candidate.exists():
             trace_path = candidate
-    snapshot = _load_snapshot(snapshot_path)
-    print(render_snapshot(snapshot))
+    text = snapshot_path.read_text(encoding="utf-8")
+    print(render_snapshot(MetricsRegistry.from_json(text).snapshot()))
     if trace_path is not None:
-        stats = validate_trace_file(trace_path)
+        headers, requests = read_request_trace(trace_path)
         print(
-            f"\ntrace: {stats.headers} run(s), "
-            f"{stats.requests} sampled request record(s)"
+            f"\ntrace: {headers} run(s), "
+            f"{requests} sampled request record(s)"
         )
     return 0
 
@@ -117,7 +103,7 @@ def run_smoke(
     sample_seed: int = 0,
     engine: str = "reference",
 ) -> dict[str, Path]:
-    """Run a tiny traced experiment; write and validate all exports.
+    """Run a tiny traced experiment; write all exports and read them back.
 
     Returns the paths of the written artifacts.  Import of the core
     package happens here (not at module import) so the obs package
@@ -149,12 +135,12 @@ def run_smoke(
         )
 
     registry_path.write_text(registry.to_json() + "\n", encoding="utf-8")
-    prom_text = registry.to_prometheus()
-    prom_path.write_text(prom_text, encoding="utf-8")
+    prom_path.write_text(registry.to_prometheus(), encoding="utf-8")
 
-    validate_registry_snapshot(registry.snapshot())
-    validate_prometheus_text(prom_text)
-    validate_trace_file(trace_path)
+    MetricsRegistry.from_json(
+        registry_path.read_text(encoding="utf-8")
+    ).check_prometheus(prom_path.read_text(encoding="utf-8"))
+    read_request_trace(trace_path)
     return {
         "registry": registry_path,
         "prometheus": prom_path,
@@ -172,11 +158,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         sample_seed=args.sample_seed,
         engine=args.engine,
     )
-    stats = validate_trace_file(paths["trace"])
-    print(
-        f"smoke run ok: {stats.headers} run(s), "
-        f"{stats.requests} trace record(s)"
-    )
+    headers, requests = read_request_trace(paths["trace"])
+    print(f"smoke run ok: {headers} run(s), {requests} trace record(s)")
     for kind, path in sorted(paths.items()):
         print(f"  {kind}: {path}")
     return 0
@@ -192,7 +175,7 @@ def run_sweep_smoke(
     chunk_size: int | None = None,
     engine: str = "fast",
 ) -> dict[str, Path]:
-    """Run a small observed sweep; write and validate all artifacts.
+    """Run a small observed sweep; write all artifacts and read them back.
 
     The grid varies the Zipf ``alpha`` across ``num_points`` small
     configurations re-seeded with :func:`repro.core.sweep.seeded_configs`.
@@ -261,9 +244,10 @@ def run_sweep_smoke(
     )
     tracker.write(spans_path)
 
-    validate_registry_snapshot(registry.snapshot())
-    validate_span_file(spans_path)
-    validate_heartbeat(read_heartbeat(heartbeat_path))
+    for path in (registry_path, deterministic_path):
+        MetricsRegistry.from_json(path.read_text(encoding="utf-8"))
+    read_spans(spans_path)
+    read_heartbeat(heartbeat_path)
     return {
         "registry": registry_path,
         "registry_deterministic": deterministic_path,
@@ -283,11 +267,11 @@ def _cmd_sweep_smoke(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         engine=args.engine,
     )
-    stats = validate_span_file(paths["spans"])
+    spans = read_spans(paths["spans"])
     heartbeat = read_heartbeat(paths["heartbeat"])
     print(
         f"sweep smoke ok: {heartbeat['done']}/{heartbeat['total']} points, "
-        f"{stats.spans} span record(s)"
+        f"{len(spans)} span record(s)"
     )
     for kind, path in sorted(paths.items()):
         print(f"  {kind}: {path}")
@@ -300,10 +284,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         if path.exists():
             payload = read_heartbeat(path)
             print(render_heartbeat(payload))
-            finished = (
-                payload["done"] + payload["failed"] >= payload["total"]
-                and payload["total"] > 0
-            )
+            finished = payload["done"] + payload["failed"] >= payload["total"]
             if not args.follow or finished:
                 return 0
         elif not args.follow:

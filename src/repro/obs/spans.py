@@ -26,8 +26,11 @@ Three design rules make that hold:
 Worker processes build :class:`SpanTracker` instances rooted at a chunk
 path and ship ``records()`` back with their results; the parent adopts
 them with :meth:`SpanTracker.extend` and writes one merged JSONL.  The
-schema is versioned as :data:`SPAN_SCHEMA` and validated by
-:func:`repro.obs.schema.validate_span_file`.
+records are versioned as :data:`SPAN_SCHEMA`.  :func:`read_spans`
+reads a file back the same way: it adopts the lines through
+:meth:`SpanTracker.extend`, and the file is valid only when
+:meth:`SpanTracker.to_jsonl` reproduces it exactly and every span's
+parent is in it.
 """
 
 from __future__ import annotations
@@ -153,11 +156,6 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span (None outside any ``span`` block)."""
-        return self._stack[-1] if self._stack else None
-
     def _child_path(self, name: str) -> str:
         if self._stack:
             return f"{self._stack[-1].path}/{name}"
@@ -192,12 +190,6 @@ class SpanTracker:
         self._stack.pop()
         self._finished.append(opened)
 
-    def observe(self, name: str, value: float) -> None:
-        """Record an observation on the innermost open span (must exist)."""
-        if not self._stack:
-            raise ValueError("no open span to observe into")
-        self._stack[-1].observe(name, value)
-
     # ------------------------------------------------------------------
     # Export / merge
     # ------------------------------------------------------------------
@@ -215,18 +207,19 @@ class SpanTracker:
     def extend(self, records: Iterable[Mapping[str, object]]) -> None:
         """Adopt already-built records (worker chunks shipping home).
 
-        Adopted records keep their ids verbatim; their paths join the
+        A record is rebuilt from its path, kind, seed, attrs and
+        observations; its name is the last path segment, and its id and
+        parent are derived again on export.  Adopted paths join the
         uniqueness set so a parent cannot accidentally mint a colliding
         span after adopting.
         """
         for record in records:
-            path = record["path"]
-            assert isinstance(path, str)
+            path = str(record["path"])
             if path in self._paths:
                 raise ValueError(f"duplicate span path {path!r}")
             self._paths.add(path)
             adopted = Span(
-                str(record["name"]),
+                path.rsplit("/", 1)[-1],
                 str(record["kind"]),
                 path,
                 int(record["seed"]),  # type: ignore[arg-type]
@@ -261,21 +254,37 @@ class SpanTracker:
             destination.write(text)
 
 
-def merge_span_records(
-    *record_lists: Iterable[Mapping[str, object]],
-) -> list[dict[str, object]]:
-    """Merge worker record lists into one canonically ordered list.
+def read_spans(path: str | Path) -> list[dict[str, object]]:
+    """Read a span JSONL export back; returns its records.
 
-    Deterministic regardless of the order the lists arrive in: the
-    result sorts by path, and a duplicate path (two workers claiming the
-    same span) raises rather than silently keeping either.
+    Each line is adopted through :meth:`SpanTracker.extend`.  The file
+    is valid only when :meth:`SpanTracker.to_jsonl` then reproduces it
+    byte for byte, which rejects wrong ids, parents, names and schema
+    tags, unknown kinds, extra fields, duplicates and out-of-order lines, and
+    when every non-root span's parent path is in the file.  Any other
+    file raises ``ValueError`` naming the offending line or span.
     """
-    merged: dict[str, dict[str, object]] = {}
-    for records in record_lists:
-        for record in records:
-            path = record["path"]
-            assert isinstance(path, str)
-            if path in merged:
-                raise ValueError(f"duplicate span path {path!r} in merge")
-            merged[path] = dict(record)
-    return [merged[path] for path in sorted(merged)]
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    tracker = SpanTracker(0)
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            tracker.extend([json.loads(line)])
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    rewritten = tracker.to_jsonl().splitlines(keepends=True)
+    for lineno, (line, expected) in enumerate(zip(lines, rewritten), 1):
+        if line != expected:
+            raise ValueError(
+                f"line {lineno}: not the canonical record for this "
+                "position (a field, id, name or the line order is wrong)"
+            )
+    records = tracker.records()
+    paths = {record["path"] for record in records}
+    for record in records:
+        parent = _parent_path(str(record["path"]))
+        if parent is not None and parent not in paths:
+            raise ValueError(
+                f"span {record['path']!r}: parent path {parent!r} missing"
+            )
+    return records

@@ -3,8 +3,7 @@
 A trace answers the question the aggregate :class:`SimulationResult`
 cannot: *which* node served request ``i``, over which hop cost, and
 whether a failure was routed around on the way.  Records are one JSON
-object per line with a versioned field set (see :data:`TRACE_VERSION`
-and :mod:`repro.obs.schema`):
+object per line with a versioned field set (see :data:`TRACE_VERSION`):
 
 * a ``header`` record opens every run — architecture, routing mode,
   request count, warmup boundary, and the sampler's ``(seed, rate)``;
@@ -19,6 +18,11 @@ to [0, 1)), so both simulation engines — which interleave work very
 differently — sample exactly the same requests, and repeated seeded
 runs produce byte-identical trace files.  Serialization is canonical
 (sorted keys, compact separators) for the same reason.
+
+:class:`TraceWriter` is the only definition of the format, and
+:func:`read_request_trace` reads a file back against it: each line must
+carry the writer's version, kind and exact field set, in the bytes the
+writer would have written.
 """
 
 from __future__ import annotations
@@ -30,6 +34,19 @@ from typing import IO
 
 #: Trace schema version; bump on any breaking field change.
 TRACE_VERSION = 1
+
+#: The keys :meth:`TraceWriter.write_header` and
+#: :meth:`TraceWriter.emit_request` write, by record kind.
+_FIELDS = {
+    "header": frozenset({
+        "v", "kind", "architecture", "routing", "requests",
+        "first_measured", "sample_rate", "sample_seed",
+    }),
+    "request": frozenset({
+        "v", "kind", "i", "pop", "leaf", "object", "serving", "origin",
+        "cost", "size", "coop", "fallback",
+    }),
+}
 
 _HASH_DENOMINATOR = float(2**64)
 
@@ -101,9 +118,7 @@ class TraceWriter:
         return self._fh
 
     def _write(self, record: dict[str, object]) -> None:
-        self._file().write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._file().write(_canonical_line(record))
 
     def write_header(
         self,
@@ -182,3 +197,61 @@ class TraceWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"non-finite number {name}")
+
+
+# One encoder and one decoder for every line: ``json.dumps`` and
+# ``json.loads`` build a new one per call when given options.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _canonical_line(record: dict[str, object]) -> str:
+    return _ENCODER.encode(record) + "\n"
+
+
+def read_request_trace(path: str | Path) -> tuple[int, int]:
+    """Read a trace file back; returns its (header, request) counts.
+
+    Every line must be a record :class:`TraceWriter` could have written:
+    the writer's version, a known kind, exactly that kind's fields,
+    finite numbers, and canonical bytes (sorted keys, compact
+    separators, one newline).  The file must open with a header.  Any
+    other file raises ``ValueError`` naming the offending line.
+    """
+    counts = {"header": 0, "request": 0}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"line {lineno}"
+            try:
+                record = _DECODER.decode(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            version = record.get("v")
+            if type(version) is not int or version != TRACE_VERSION:
+                raise ValueError(
+                    f"{where}: version {version!r} != {TRACE_VERSION}"
+                )
+            kind = record.get("kind")
+            fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
+                raise ValueError(f"{where}: unknown record kind {kind!r}")
+            if record.keys() != fields:
+                raise ValueError(
+                    f"{where}: {kind} record missing fields "
+                    f"{sorted(fields - set(record))}, unexpected fields "
+                    f"{sorted(set(record) - fields)}"
+                )
+            if _canonical_line(record) != line:
+                raise ValueError(f"{where}: not in canonical form")
+            if kind == "request" and counts["header"] == 0:
+                raise ValueError(f"{where}: request record before any header")
+            counts[kind] += 1
+    if counts["header"] == 0:
+        raise ValueError("trace contains no header record")
+    return counts["header"], counts["request"]

@@ -4,7 +4,7 @@ import importlib
 import inspect
 import pkgutil
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.cache
@@ -22,9 +22,32 @@ operations = st.lists(
 )
 
 
+#: A re-insert that grows object 0 past capacity evicts it, leaving
+#: 1.1e-16 of float residue in ``used``; the next insert then tried to
+#: evict from an empty cache.
+REINSERT_RESIDUE = [
+    ("insert", 0, 0.12619400537097175),
+    ("insert", 0, 0.6635299757318521),
+    ("insert", 0, 0.5),
+]
+
+#: A re-insert that shrinks object 0 leaves residue that outlives both
+#: objects: evicting them for a capacity-sized object left ``used``
+#: above zero, so the loop tried to evict from an empty cache.
+SHRINK_RESIDUE = [
+    ("insert", 0, 2.0),
+    ("insert", 1, 0.4361376328110802),
+    ("insert", 0, 0.1),
+    ("insert", 2, 3.0),
+]
+
+
 @settings(max_examples=60)
 @given(ops=operations, capacity=st.floats(min_value=0.0, max_value=12.0),
        policy=st.sampled_from(POLICIES))
+@example(ops=REINSERT_RESIDUE, capacity=0.5, policy=FIFOCache)
+@example(ops=REINSERT_RESIDUE, capacity=0.5, policy=LFUCache)
+@example(ops=REINSERT_RESIDUE, capacity=0.5, policy=LRUCache)
 def test_capacity_never_exceeded(ops, capacity, policy):
     cache = policy(capacity)
     shadow: dict[int, float] = {}
@@ -46,6 +69,9 @@ def test_capacity_never_exceeded(ops, capacity, policy):
 @settings(max_examples=60)
 @given(ops=operations, capacity=st.floats(min_value=0.5, max_value=12.0),
        policy=st.sampled_from(POLICIES))
+@example(ops=SHRINK_RESIDUE, capacity=3.0, policy=FIFOCache)
+@example(ops=SHRINK_RESIDUE, capacity=3.0, policy=LFUCache)
+@example(ops=SHRINK_RESIDUE, capacity=3.0, policy=LRUCache)
 def test_membership_matches_shadow_model(ops, capacity, policy):
     """Evictions reported by insert() are exactly the objects removed."""
     cache = policy(capacity)

@@ -1,21 +1,26 @@
-"""Standalone validator for a directory of observability exports.
+"""Standalone checker for a directory of observability exports.
 
 CI runs a traced smoke simulation (``python -m repro.obs smoke``) and
 then this script against the output directory::
 
     python tests/obs/check_exports.py /tmp/obs-smoke
 
-It re-validates all artifacts against the versioned schemas in
-:mod:`repro.obs.schema` — independently of the writer process, so a
-writer bug that bypasses its own inline validation still fails CI —
-and cross-checks that the JSON snapshot and the Prometheus text expose
-the same sample count.  Exit code 0 on success, 1 with a diagnostic on
-any failure.
+It reads every artifact back through the module that wrote it, in a
+process of its own, so a writer bug that slips past the writer's own
+read-back still fails CI.  Each format's writer is its only
+definition: ``registry.json`` must re-serialize to itself
+(:meth:`MetricsRegistry.from_json`), ``metrics.prom`` must be exactly
+that registry's Prometheus rendering, so an edited sample value fails,
+and ``trace.jsonl`` must hold only records the trace writer could have
+written (:func:`read_request_trace`), at least one of each kind.  Exit
+code 0 on success, 1 with a diagnostic on any failure.
 
 The same entry point also understands ``sweep-smoke`` output
 directories (``registry.json`` + ``registry.deterministic.json`` +
 ``spans.jsonl`` + ``heartbeat.json``): the mode is detected from which
-artifacts are present.  For sweeps it additionally checks that the
+artifacts are present.  For sweeps it reads back both snapshots, the
+span file (:func:`read_spans`) and the heartbeat
+(:func:`read_heartbeat`), and additionally checks that the
 deterministic snapshot really is the full registry minus the
 wall-clock families, that the span file has exactly one root, and that
 the final heartbeat accounts for every point.
@@ -23,23 +28,24 @@ the final heartbeat accounts for every point.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 from repro.core.sweep import WALLCLOCK_METRICS
 from repro.obs import (
-    SchemaError,
-    validate_heartbeat,
-    validate_prometheus_text,
-    validate_registry_snapshot,
-    validate_span_file,
-    validate_trace_file,
+    MetricsRegistry,
+    read_heartbeat,
+    read_request_trace,
+    read_spans,
 )
 
 
+def _read_registry(path: Path) -> MetricsRegistry:
+    return MetricsRegistry.from_json(path.read_text(encoding="utf-8"))
+
+
 def check_exports(out_dir: Path) -> list[str]:
-    """Validate one smoke export directory; returns findings."""
+    """Check one smoke export directory; returns findings."""
     findings: list[str] = []
     registry_path = out_dir / "registry.json"
     prom_path = out_dir / "metrics.prom"
@@ -50,48 +56,26 @@ def check_exports(out_dir: Path) -> list[str]:
     if findings:
         return findings
 
-    json_samples = prom_samples = None
     try:
-        snapshot = json.loads(registry_path.read_text(encoding="utf-8"))
-        json_samples = validate_registry_snapshot(snapshot)
-    except (json.JSONDecodeError, SchemaError) as exc:
+        registry = _read_registry(registry_path)
+    except ValueError as exc:
         findings.append(f"registry.json: {exc}")
+    else:
+        try:
+            registry.check_prometheus(prom_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            findings.append(f"metrics.prom: {exc}")
     try:
-        prom_samples = validate_prometheus_text(
-            prom_path.read_text(encoding="utf-8")
-        )
-    except SchemaError as exc:
-        findings.append(f"metrics.prom: {exc}")
-    try:
-        stats = validate_trace_file(trace_path)
-        if stats.headers == 0:
-            findings.append("trace.jsonl: no run headers")
-        if stats.requests == 0:
+        _, requests = read_request_trace(trace_path)
+        if requests == 0:
             findings.append("trace.jsonl: no sampled request records")
-    except SchemaError as exc:
+    except ValueError as exc:
         findings.append(f"trace.jsonl: {exc}")
-
-    # A histogram sample expands to several exposition lines, so the
-    # text export can only ever have at least as many samples as the
-    # JSON snapshot; fewer means the two exports drifted apart.
-    if (
-        json_samples is not None
-        and prom_samples is not None
-        and prom_samples < json_samples
-    ):
-        findings.append(
-            "export drift: registry.json has "
-            f"{json_samples} sample(s), metrics.prom only {prom_samples}"
-        )
     return findings
 
 
-def _family_names(snapshot: dict) -> set[str]:
-    return {family["name"] for family in snapshot.get("metrics", [])}
-
-
 def check_sweep_exports(out_dir: Path) -> list[str]:
-    """Validate one sweep-smoke export directory; returns findings."""
+    """Check one sweep-smoke export directory; returns findings."""
     findings: list[str] = []
     registry_path = out_dir / "registry.json"
     deterministic_path = out_dir / "registry.deterministic.json"
@@ -106,44 +90,39 @@ def check_sweep_exports(out_dir: Path) -> list[str]:
 
     full = deterministic = None
     try:
-        full = json.loads(registry_path.read_text(encoding="utf-8"))
-        validate_registry_snapshot(full)
-    except (json.JSONDecodeError, SchemaError) as exc:
+        full = _read_registry(registry_path)
+    except ValueError as exc:
         findings.append(f"registry.json: {exc}")
     try:
-        deterministic = json.loads(
-            deterministic_path.read_text(encoding="utf-8")
-        )
-        validate_registry_snapshot(deterministic)
-    except (json.JSONDecodeError, SchemaError) as exc:
+        deterministic = _read_registry(deterministic_path)
+    except ValueError as exc:
         findings.append(f"registry.deterministic.json: {exc}")
     if full is not None and deterministic is not None:
-        stripped = _family_names(deterministic)
+        stripped = set(deterministic.names())
         if stripped & WALLCLOCK_METRICS:
             findings.append(
                 "registry.deterministic.json: wall-clock families leaked "
                 "into the deterministic snapshot: "
                 f"{sorted(stripped & WALLCLOCK_METRICS)}"
             )
-        if stripped != _family_names(full) - WALLCLOCK_METRICS:
+        if stripped != set(full.names()) - WALLCLOCK_METRICS:
             findings.append(
                 "registry.deterministic.json: families are not "
                 "registry.json minus the wall-clock set"
             )
 
     try:
-        stats = validate_span_file(spans_path)
-        if stats.roots != 1:
+        roots = [r for r in read_spans(spans_path) if r["parent"] is None]
+        if len(roots) != 1:
             findings.append(
                 "spans.jsonl: expected exactly 1 root span, "
-                f"found {stats.roots}"
+                f"found {len(roots)}"
             )
-    except SchemaError as exc:
+    except ValueError as exc:
         findings.append(f"spans.jsonl: {exc}")
 
     try:
-        heartbeat = json.loads(heartbeat_path.read_text(encoding="utf-8"))
-        validate_heartbeat(heartbeat)
+        heartbeat = read_heartbeat(heartbeat_path)
         total = heartbeat["total"]
         finished = heartbeat["done"] + heartbeat["failed"]
         if total == 0:
@@ -158,8 +137,8 @@ def check_sweep_exports(out_dir: Path) -> list[str]:
                 "heartbeat.json: final heartbeat still reports "
                 f"{heartbeat['in_flight']} point(s) in flight"
             )
-    except (json.JSONDecodeError, SchemaError, KeyError) as exc:
-        findings.append(f"heartbeat.json: {exc!r}")
+    except ValueError as exc:
+        findings.append(f"heartbeat.json: {exc}")
     return findings
 
 
@@ -181,7 +160,7 @@ def main(argv: list[str]) -> int:
         for finding in findings:
             print(f"FAIL: {finding}", file=sys.stderr)
         return 1
-    print(f"{flavour} in {argv[0]} are schema-valid and consistent")
+    print(f"{flavour} in {argv[0]} read back through their writers")
     return 0
 
 

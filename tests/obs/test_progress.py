@@ -9,11 +9,26 @@ import pytest
 from repro.obs import (
     PROGRESS_SCHEMA,
     ProgressReporter,
-    SchemaError,
     read_heartbeat,
     render_heartbeat,
-    validate_heartbeat,
 )
+
+#: The heartbeat the pinned-bytes test writes, byte for byte.
+PINNED_HEARTBEAT = """\
+{
+  "counters": {
+    "repro_requests_total": 9.0
+  },
+  "done": 3,
+  "elapsed_seconds": 6.0,
+  "eta_seconds": 9.0,
+  "failed": 1,
+  "in_flight": 2,
+  "retried": 1,
+  "schema": "repro.obs/progress/v1",
+  "total": 10
+}
+"""
 
 
 class _FakeClock:
@@ -70,6 +85,17 @@ class TestWrites:
         with pytest.raises(ValueError, match="every"):
             ProgressReporter(tmp_path / "hb.json", every=0)
 
+    def test_heartbeat_bytes_are_pinned(self, tmp_path):
+        clock = _FakeClock()
+        path = tmp_path / "hb.json"
+        reporter = ProgressReporter(path, total=10, clock=clock)
+        clock.now += 6.0
+        reporter.update(
+            done=3, failed=1, in_flight=2, retried=1,
+            counters={"repro_requests_total": 9}, force=True,
+        )
+        assert path.read_text(encoding="utf-8") == PINNED_HEARTBEAT
+
 
 class TestEta:
     def test_eta_is_rate_based(self, tmp_path):
@@ -94,23 +120,51 @@ class TestEta:
         assert read_heartbeat(tmp_path / "hb.json")["eta_seconds"] is None
 
 
+def _edited(path, **changes):
+    """Rewrite the heartbeat at ``path`` with some fields changed."""
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestValidation:
     def test_overcounted_heartbeat_rejected(self, tmp_path):
         path = tmp_path / "hb.json"
         reporter = ProgressReporter(path, total=2)
         reporter.update(done=2, force=True)
-        payload = json.loads(path.read_text())
-        payload["done"] = 5
-        with pytest.raises(SchemaError, match="exceed"):
-            validate_heartbeat(payload)
+        with pytest.raises(ValueError, match="done \\+ failed exceeds"):
+            read_heartbeat(_edited(path, done=5))
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "hb.json"
         ProgressReporter(path, total=1).finish()
+        with pytest.raises(ValueError, match="unexpected fields \\['surprise'"):
+            read_heartbeat(_edited(path, surprise=1))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"schema": "repro.obs/progress/v0"}, "schema"),
+            ({"failed": -1}, "failed must be a non-negative int"),
+            ({"retried": 1.0}, "retried must be a non-negative int"),
+            ({"total": True}, "total must be a non-negative int"),
+        ],
+    )
+    def test_bad_tag_or_count_rejected(self, tmp_path, changes, message):
+        path = tmp_path / "hb.json"
+        ProgressReporter(path, total=1).finish()
+        with pytest.raises(ValueError, match=message):
+            read_heartbeat(_edited(path, **changes))
+
+    def test_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "hb.json"
+        ProgressReporter(path, total=1).finish()
         payload = json.loads(path.read_text())
-        payload["surprise"] = 1
-        with pytest.raises(SchemaError, match="unexpected"):
-            validate_heartbeat(payload)
+        del payload["in_flight"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="missing fields \\['in_flight'"):
+            read_heartbeat(path)
 
     def test_render_smoke(self, tmp_path):
         path = tmp_path / "hb.json"

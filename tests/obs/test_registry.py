@@ -11,9 +11,122 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     REGISTRY_SCHEMA,
-    validate_prometheus_text,
-    validate_registry_snapshot,
 )
+
+#: ``TestExports._populated()`` as ``to_json()`` writes it.
+POPULATED_JSON = """\
+{
+  "metrics": [
+    {
+      "help": "",
+      "name": "repro_phase_seconds",
+      "samples": [
+        {
+          "labels": {
+            "phase": "sim"
+          },
+          "value": 0.25
+        }
+      ],
+      "type": "gauge"
+    },
+    {
+      "help": "",
+      "name": "repro_requests_total",
+      "samples": [
+        {
+          "labels": {
+            "architecture": "EDGE"
+          },
+          "value": 7.0
+        }
+      ],
+      "type": "counter"
+    },
+    {
+      "help": "",
+      "name": "repro_span_seconds",
+      "samples": [
+        {
+          "buckets": [
+            [
+              0.001,
+              0
+            ],
+            [
+              0.005,
+              1
+            ],
+            [
+              0.01,
+              1
+            ],
+            [
+              0.05,
+              1
+            ],
+            [
+              0.1,
+              1
+            ],
+            [
+              0.5,
+              1
+            ],
+            [
+              1.0,
+              1
+            ],
+            [
+              5.0,
+              2
+            ],
+            [
+              10.0,
+              2
+            ],
+            [
+              50.0,
+              2
+            ],
+            [
+              100.0,
+              2
+            ]
+          ],
+          "count": 2,
+          "labels": {},
+          "sum": 4.203
+        }
+      ],
+      "type": "histogram"
+    }
+  ],
+  "schema": "repro.obs/registry/v1"
+}"""
+
+#: ``TestExports._populated()`` as ``to_prometheus()`` writes it.
+POPULATED_PROMETHEUS = """\
+# TYPE repro_phase_seconds gauge
+repro_phase_seconds{phase="sim"} 0.25
+# TYPE repro_requests_total counter
+repro_requests_total{architecture="EDGE"} 7
+# TYPE repro_span_seconds histogram
+repro_span_seconds_bucket{le="0.001"} 0
+repro_span_seconds_bucket{le="0.005"} 1
+repro_span_seconds_bucket{le="0.01"} 1
+repro_span_seconds_bucket{le="0.05"} 1
+repro_span_seconds_bucket{le="0.1"} 1
+repro_span_seconds_bucket{le="0.5"} 1
+repro_span_seconds_bucket{le="1"} 1
+repro_span_seconds_bucket{le="5"} 2
+repro_span_seconds_bucket{le="10"} 2
+repro_span_seconds_bucket{le="50"} 2
+repro_span_seconds_bucket{le="100"} 2
+repro_span_seconds_bucket{le="+Inf"} 2
+repro_span_seconds_sum 4.203
+repro_span_seconds_count 2
+"""
 
 
 class TestSamples:
@@ -84,7 +197,8 @@ class TestExports:
         reg = self._populated()
         snapshot = reg.snapshot()
         assert snapshot["schema"] == REGISTRY_SCHEMA
-        assert validate_registry_snapshot(snapshot) > 0
+        rebuilt = MetricsRegistry.from_json(reg.to_json())
+        assert rebuilt.snapshot() == snapshot
 
     def test_json_roundtrip_is_deterministic(self):
         reg = self._populated()
@@ -92,36 +206,41 @@ class TestExports:
         assert text == self._populated().to_json()
         assert json.loads(text)["schema"] == REGISTRY_SCHEMA
 
+    def test_json_bytes_are_pinned(self):
+        assert self._populated().to_json() == POPULATED_JSON
+
     def test_prometheus_text_validates(self):
-        reg = self._populated()
-        text = reg.to_prometheus()
-        validate_prometheus_text(text)
-        assert 'repro_requests_total{architecture="EDGE"} 7' in text
-        assert "# TYPE repro_span_seconds histogram" in text
-        assert 'le="+Inf"' in text
+        assert self._populated().to_prometheus() == POPULATED_PROMETHEUS
 
     def test_prometheus_escapes_label_values(self):
         reg = MetricsRegistry()
         reg.inc("repro_events_total", host='we"ird\\host\n')
-        text = reg.to_prometheus()
-        validate_prometheus_text(text)
-        assert '\\"' in text and "\\n" in text
+        assert reg.to_prometheus().splitlines() == [
+            "# TYPE repro_events_total counter",
+            'repro_events_total{host="we\\"ird\\\\host\\n"} 1',
+        ]
 
     def test_nan_renders_and_validates(self):
         reg = MetricsRegistry()
         reg.gauge("repro_odd_gauge").add(math.nan)
-        validate_prometheus_text(reg.to_prometheus())
+        assert reg.to_prometheus() == (
+            "# TYPE repro_odd_gauge gauge\nrepro_odd_gauge NaN\n"
+        )
+        # A NaN gauge reads back: canonical JSON compares NaN equal.
+        rebuilt = MetricsRegistry.from_json(reg.to_json())
+        assert rebuilt.to_prometheus() == reg.to_prometheus()
 
     def test_infinities_render_prometheus_spellings(self):
         # The text format requires `+Inf`/`-Inf`, not Python's `inf`.
         reg = MetricsRegistry()
         reg.gauge("repro_pos_gauge").set(math.inf)
         reg.gauge("repro_neg_gauge").set(-math.inf)
-        text = reg.to_prometheus()
-        validate_prometheus_text(text)
-        assert "repro_pos_gauge +Inf" in text
-        assert "repro_neg_gauge -Inf" in text
-        assert " inf" not in text and " -inf" not in text
+        assert reg.to_prometheus().splitlines() == [
+            "# TYPE repro_neg_gauge gauge",
+            "repro_neg_gauge -Inf",
+            "# TYPE repro_pos_gauge gauge",
+            "repro_pos_gauge +Inf",
+        ]
 
 
 class TestHistogramBoundaries:
@@ -146,11 +265,13 @@ class TestHistogramBoundaries:
         h = reg.histogram("repro_edge_seconds", buckets=(1.0,))
         for v in (0.5, 1.0, 2.0, math.inf):
             h.observe(v)
-        text = reg.to_prometheus()
-        validate_prometheus_text(text)
-        assert 'repro_edge_seconds_bucket{le="1"} 2' in text
-        assert 'repro_edge_seconds_bucket{le="+Inf"} 4' in text
-        assert "repro_edge_seconds_count 4" in text
+        assert reg.to_prometheus().splitlines() == [
+            "# TYPE repro_edge_seconds histogram",
+            'repro_edge_seconds_bucket{le="1"} 2',
+            'repro_edge_seconds_bucket{le="+Inf"} 4',
+            "repro_edge_seconds_sum +Inf",
+            "repro_edge_seconds_count 4",
+        ]
 
 
 class TestMerge:
@@ -247,3 +368,74 @@ class TestMerge:
         assert totals == {"repro_requests_total": 5.0}
         assert "repro_phase_seconds" not in totals
         assert "repro_span_seconds" not in totals
+
+
+class TestReadBack:
+    """``from_json`` and ``check_prometheus``: the writer is the schema."""
+
+    def _document(self) -> dict:
+        return json.loads(TestExports()._populated().to_json())
+
+    def _read(self, document) -> MetricsRegistry:
+        return MetricsRegistry.from_json(json.dumps(document))
+
+    def test_both_json_layouts_read_back(self):
+        reg = TestExports()._populated()
+        for text in (reg.to_json(), reg.to_json(indent=None)):
+            assert MetricsRegistry.from_json(text).to_json() == reg.to_json()
+
+    def test_family_order_must_be_canonical(self):
+        document = self._document()
+        document["metrics"].reverse()
+        with pytest.raises(ValueError, match=r"snapshot\.metrics\[0\]"):
+            self._read(document)
+
+    def test_duplicate_family_rejected(self):
+        document = self._document()
+        document["metrics"].insert(1, document["metrics"][0])
+        with pytest.raises(ValueError, match="re-serialize"):
+            self._read(document)
+
+    def test_empty_samples_rejected(self):
+        document = self._document()
+        document["metrics"][0]["samples"] = []
+        with pytest.raises(ValueError, match=r"metrics\[0\]"):
+            self._read(document)
+
+    def test_stray_or_mistyped_field_rejected(self):
+        document = self._document()
+        document["metrics"][1]["samples"][0]["value"] = "7.0"
+        with pytest.raises(ValueError, match=r"samples\[0\]\.value"):
+            self._read(document)
+        document = self._document()
+        document["generator"] = "elsewhere"
+        with pytest.raises(ValueError, match=r"snapshot\.generator"):
+            self._read(document)
+
+    def test_invalid_names_rejected(self):
+        document = self._document()
+        document["metrics"][0]["name"] = "bad name"
+        with pytest.raises(ValueError, match="invalid metric name"):
+            self._read(document)
+        document = self._document()
+        document["metrics"][0]["samples"][0]["labels"] = {"9lives": "x"}
+        with pytest.raises(ValueError, match="invalid label name"):
+            self._read(document)
+
+    def test_malformed_document_is_a_value_error(self):
+        for document in ([], {"schema": REGISTRY_SCHEMA, "metrics": [{}]}):
+            with pytest.raises(ValueError):
+                self._read(document)
+        with pytest.raises(ValueError):
+            MetricsRegistry.from_json("{not json")
+
+    def test_prometheus_must_match_byte_for_byte(self):
+        reg = MetricsRegistry.from_json(POPULATED_JSON)
+        reg.check_prometheus(POPULATED_PROMETHEUS)
+        edited = POPULATED_PROMETHEUS.replace(
+            'architecture="EDGE"} 7', 'architecture="EDGE"} 8'
+        )
+        with pytest.raises(ValueError, match="line 4"):
+            reg.check_prometheus(edited)
+        with pytest.raises(ValueError, match="line 20"):
+            reg.check_prometheus(POPULATED_PROMETHEUS + "extra 1\n")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, validate_trace_file
+from repro.core.sweep import run_sweep
+from repro.obs import MetricsRegistry, ProgressReporter, read_request_trace
 from repro.obs.report import build_parser, main, render_snapshot, run_smoke
 
 
@@ -24,10 +25,10 @@ class TestSmoke:
             assert (smoke_dir / name).is_file(), name
 
     def test_trace_validates_and_covers_all_runs(self, smoke_dir):
-        stats = validate_trace_file(smoke_dir / "trace.jsonl")
+        headers, requests = read_request_trace(smoke_dir / "trace.jsonl")
         # no-cache baseline + each baseline architecture, one header each
-        assert stats.headers >= 2
-        assert stats.requests > 0
+        assert headers >= 2
+        assert requests > 0
 
     def test_registry_snapshot_parses(self, smoke_dir):
         snapshot = json.loads((smoke_dir / "registry.json").read_text())
@@ -75,6 +76,26 @@ class TestCheckExports:
         (broken / "trace.jsonl").write_text("not json\n", encoding="utf-8")
         findings = check_exports(broken)
         assert any("trace.jsonl" in f for f in findings)
+
+    def test_edited_prometheus_value_reported(self, smoke_dir, tmp_path):
+        from .check_exports import check_exports
+
+        broken = tmp_path / "edited"
+        broken.mkdir()
+        for name in ("registry.json", "trace.jsonl"):
+            (broken / name).write_text(
+                (smoke_dir / name).read_text(), encoding="utf-8"
+            )
+        lines = (smoke_dir / "metrics.prom").read_text().splitlines(True)
+        index = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("repro_requests_total{")
+        )
+        lines[index] = lines[index].rstrip("\n") + "1\n"
+        (broken / "metrics.prom").write_text("".join(lines), encoding="utf-8")
+        findings = check_exports(broken)
+        assert len(findings) == 1
+        assert findings[0].startswith(f"metrics.prom: line {index + 1}: ")
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +168,18 @@ class TestSweepSmoke:
     def test_watch_missing_file_fails(self, tmp_path, capsys):
         assert main(["watch", str(tmp_path / "absent.json")]) == 1
         assert "no heartbeat" in capsys.readouterr().err
+
+    def test_watch_follow_exits_after_an_empty_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_repaint(seconds):
+            raise AssertionError("watch --follow kept repainting")
+
+        monkeypatch.setattr("repro.obs.report.time.sleep", no_repaint)
+        path = tmp_path / "heartbeat.json"
+        run_sweep([], progress=ProgressReporter(path))
+        assert main(["watch", str(path), "--follow"]) == 0
+        assert "0/0 points" in capsys.readouterr().out
 
 
 class TestBenchDiffCli:
